@@ -26,7 +26,7 @@ use crate::cores::common::{Bandwidth, Engine, RegPool};
 use crate::error::SimError;
 use crate::obs::{NoopObserver, Observer};
 use crate::report::SimReport;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceSource};
 
 /// How many cycles after completion an external value occupies its external
 /// register file entry while draining to the backing file. The backing-file
@@ -110,30 +110,21 @@ impl BraidCore {
         handler_latency: u64,
         obs: &mut O,
     ) -> Result<SimReport, SimError> {
-        self.run_inner(program, trace, exceptions, handler_latency, obs, None)
+        // An exception past the end of the trace can never be raised.
+        let exceptions: Vec<u64> =
+            exceptions.iter().copied().filter(|&e| (e as usize) < trace.len()).collect();
+        let mut source = trace.entries.as_slice();
+        self.run_inner(program, &mut source, &exceptions, handler_latency, obs, None)
     }
 
-    /// Like [`BraidCore::run`], but starting from a pre-warmed memory
-    /// hierarchy instead of cold caches. Used by sampled simulation, where
-    /// functional warming supplies the cache state a continuous run would
-    /// have at the window start.
-    ///
-    /// # Errors
-    ///
-    /// As for [`BraidCore::run`].
-    pub fn run_warmed(
+    /// The simulation loop over any [`TraceSource`]: the public entry
+    /// points pass a materialized trace, the full tier streams. `warm`
+    /// replaces the cold caches with the hierarchy functional warming
+    /// built (sampled windows).
+    pub(crate) fn run_inner<O: Observer>(
         &self,
         program: &Program,
-        trace: &Trace,
-        mem: MemoryHierarchy,
-    ) -> Result<SimReport, SimError> {
-        self.run_inner(program, trace, &[], 0, &mut NoopObserver, Some(mem))
-    }
-
-    fn run_inner<O: Observer>(
-        &self,
-        program: &Program,
-        trace: &Trace,
+        source: &mut dyn TraceSource,
         exceptions: &[u64],
         handler_latency: u64,
         obs: &mut O,
@@ -141,7 +132,11 @@ impl BraidCore {
     ) -> Result<SimReport, SimError> {
         let cfg = &self.config;
         cfg.validate()?;
-        let mut eng = Engine::new(program, trace, &cfg.common, obs);
+        // A cross-cluster consumer reads its producer's slot up to
+        // `inter_cluster_delay` cycles after the producer retired.
+        let clusters = cfg.clusters.max(1);
+        let reach = if clusters > 1 { cfg.inter_cluster_delay } else { 0 };
+        let mut eng = Engine::new(program, source, &cfg.common, reach, obs);
         if let Some(mem) = warm {
             eng.mem = mem;
         }
@@ -155,12 +150,10 @@ impl BraidCore {
         let mut current_beu: usize = 0;
         // Cluster geometry (paper §5.2): BEU b belongs to cluster
         // b / beus_per_cluster; cross-cluster external values pay a delay.
-        let clusters = cfg.clusters.max(1);
         let beus_per_cluster = cfg.beus.div_ceil(clusters).max(1);
         let cluster_of = |beu: u32| beu / beus_per_cluster;
         // Exception machinery (paper §3.4).
-        let mut pending_exceptions: BTreeSet<u64> =
-            exceptions.iter().copied().filter(|&e| (e as usize) < trace.len()).collect();
+        let mut pending_exceptions: BTreeSet<u64> = exceptions.iter().copied().collect();
         let mut exception_mode: Option<u64> = None;
         let mut dispatch_stalled_until: u64 = 0;
         let mut exceptions_taken: u64 = 0;
@@ -214,17 +207,20 @@ impl BraidCore {
                 let mut widx = 0usize;
                 while issued < cfg.fus_per_beu && widx < cfg.window_size as usize {
                     let Some(&seq) = fifos[b].get(widx).copied().as_ref() else { break };
-                    debug_assert_eq!(eng.slots[seq as usize].tag, b as u32, "slot in its BEU");
+                    debug_assert_eq!(eng.slot(seq).tag, b as u32, "slot in its BEU");
                     let ready = if clusters <= 1 {
                         eng.deps_ready(seq)
                     } else {
                         // Cross-cluster operands arrive late (paper §5.2).
                         let skip_value = eng.op(seq).is_store();
-                        eng.slots[seq as usize].deps.iter().enumerate().all(|(i, &d)| {
+                        eng.slot(seq).deps.iter().enumerate().all(|(i, &d)| {
                             if (skip_value && i == 0) || d == crate::cores::common::NONE {
                                 return true;
                             }
-                            let p = &eng.slots[d as usize];
+                            // A reused slot means the producer retired
+                            // more than `reach` cycles ago: visible
+                            // everywhere by now.
+                            let Some(p) = eng.producer(d) else { return true };
                             if p.avail_at == crate::cores::common::NONE {
                                 return false;
                             }
@@ -358,6 +354,9 @@ impl BraidCore {
             eng.fetch_phase();
             bypass.gc(eng.cycle.saturating_sub(64));
             ext_wr.gc(eng.cycle.saturating_sub(64));
+            for w in &mut int_wr {
+                w.gc(eng.cycle.saturating_sub(64));
+            }
             if O::ENABLED {
                 for (b, fifo) in fifos.iter().enumerate() {
                     eng.obs.unit_occupancy(b as u32, fifo.len() as u32);
@@ -547,6 +546,32 @@ mod tests {
         let r32 = BraidCore::new(perfect_config()).run(&p, &t).expect("runs");
         assert!(r4.ipc() <= r32.ipc());
         assert!(r4.stall_window > 0, "distribution stalled on FIFO space");
+    }
+
+    #[test]
+    fn port_reservations_stay_bounded_on_long_runs() {
+        // One BEU: every internal write books that BEU's write port, one
+        // map entry per busy cycle unless the map is collected.
+        let (p, t) = braid_trace(
+            r#"
+                addi r0, #20000, r1
+            loop:
+                addq r1, r1, r2
+                addq r2, r1, r2
+                addq r2, r1, r2
+                stq  r2, 0(r9)
+                subi r1, #1, r1
+                bne  r1, loop
+                halt
+            "#,
+        );
+        let mut one = perfect_config();
+        one.beus = 1;
+        crate::cores::common::PEAK_BOOKED_CYCLES.with(|p| p.set(0));
+        let r = BraidCore::new(one).run(&p, &t).expect("runs");
+        assert!(r.cycles > 20_000, "long enough to overflow an uncollected map");
+        let peak = crate::cores::common::PEAK_BOOKED_CYCLES.with(|p| p.get());
+        assert!(peak <= 4096 + 256, "a port map grew to {peak} booked cycles");
     }
 
     #[test]

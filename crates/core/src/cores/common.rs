@@ -12,7 +12,7 @@ use crate::frontend::{FetchGap, Fetched, Frontend};
 use crate::obs::{NoopObserver, Observer, StallCause};
 use crate::predecode::{DecodedOp, PreDecoded, NO_REG};
 use crate::report::SimReport;
-use crate::trace::Trace;
+use crate::trace::TraceSource;
 
 /// Default for [`CommonConfig::watchdog_cycles`]: the longest legitimate
 /// retirement gap is a few hundred cycles (a memory-latency chain plus a
@@ -86,12 +86,13 @@ impl Bandwidth {
     /// Reserves one grant in exactly `cycle`; `false` when saturated.
     pub fn try_reserve(&mut self, cycle: u64) -> bool {
         let u = self.used.entry(cycle).or_insert(0);
-        if *u < self.per_cycle {
+        let granted = *u < self.per_cycle;
+        if granted {
             *u += 1;
-            true
-        } else {
-            false
         }
+        #[cfg(test)]
+        PEAK_BOOKED_CYCLES.with(|p| p.set(p.get().max(self.used.len())));
+        granted
     }
 
     /// Reserves a grant in the first cycle `>= from` with capacity.
@@ -109,6 +110,23 @@ impl Bandwidth {
             self.used.retain(|&c, _| c >= before);
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Largest reservation map any [`Bandwidth`] on this thread has held —
+    /// lets tests prove every core collects its ports.
+    pub(crate) static PEAK_BOOKED_CYCLES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Timing-slot ring length for `config`: the in-flight window, the fetch
+/// queue (`4 × width`), and a margin of `width × (reach + 1)` retired
+/// producers, where `reach` is how many cycles after retirement a core may
+/// still read a producer's slot. Depends on the configuration only, never
+/// on run length.
+pub fn ring_len(config: &CommonConfig, reach: u64) -> usize {
+    let width = config.width as u64;
+    (config.window as u64 + 4 * width + width * (reach + 1)).next_power_of_two() as usize
 }
 
 /// A pool of value-buffer entries (the OOO in-flight registers, the braid
@@ -174,6 +192,14 @@ struct StallMark {
 /// The common simulation frame: front end, memory system, in-flight window
 /// and retirement. Each core drives this with its own dispatch/issue logic.
 ///
+/// Timing state lives in a power-of-two ring of [`Slot`]s indexed by
+/// `seq & mask` (see [`ring_len`]), so memory is bounded by the
+/// configuration whatever the run length. A slot is reused once its
+/// instruction has retired and the sequence number `ring_len` above it is
+/// dispatched; reads of a retired producer go through
+/// [`Engine::producer_avail`] or [`Engine::producer`], which never return a
+/// reused slot's contents.
+///
 /// Generic over an [`Observer`]: the default [`NoopObserver`] monomorphizes
 /// every event hook away, so uninstrumented runs pay nothing.
 pub struct Engine<'a, O: Observer = NoopObserver> {
@@ -182,16 +208,15 @@ pub struct Engine<'a, O: Observer = NoopObserver> {
     /// Predecoded static instructions (the hot-path instruction cache,
     /// keyed by static index — see [`crate::predecode`]).
     pub code: PreDecoded,
-    /// The committed dynamic trace.
-    pub trace: &'a Trace,
-    /// Fetch engine.
+    /// Fetch engine (owns the window over the committed stream).
     pub frontend: Frontend<'a>,
     /// Cache hierarchy.
     pub mem: MemoryHierarchy,
     /// Load-store queue.
     pub lsq: LoadStoreQueue,
-    /// Per-sequence timing slots (indexed by sequence number).
-    pub slots: Vec<Slot>,
+    /// Timing-slot ring, indexed by `seq & mask`.
+    slots: Vec<Slot>,
+    mask: u64,
     /// Oldest unretired sequence number.
     pub head: u64,
     /// Next sequence number to dispatch.
@@ -212,6 +237,8 @@ pub struct Engine<'a, O: Observer = NoopObserver> {
     last_writer: [u64; 64],
     /// Values produced with an external destination (report statistic).
     pub external_values: u64,
+    /// Branches retired (sizes the checkpoint statistic).
+    branches: u64,
     /// Stores that issued address generation but whose data producer had
     /// not yet computed its availability time.
     pending_stores: Vec<u64>,
@@ -240,26 +267,33 @@ pub struct Engine<'a, O: Observer = NoopObserver> {
 }
 
 impl<'a, O: Observer> Engine<'a, O> {
-    /// Builds the frame for `trace` of `program` under `config`, sending
-    /// pipeline events to `obs`.
+    /// Builds the frame for the committed stream of `program` that `source`
+    /// supplies, under `config`, sending pipeline events to `obs`. `reach`
+    /// is how many cycles after retirement the core may still read a
+    /// producer's slot (see [`ring_len`]).
     pub fn new(
         program: &'a Program,
-        trace: &'a Trace,
+        source: &'a mut dyn TraceSource,
         config: &CommonConfig,
+        reach: u64,
         obs: &'a mut O,
     ) -> Engine<'a, O> {
+        // Started before the front end pulls its first chunk, so host time
+        // covers trace production as well as timing.
+        let started = std::time::Instant::now();
+        let ring = ring_len(config, reach);
         Engine {
             program,
             code: PreDecoded::new(program),
-            trace,
-            frontend: Frontend::new(program, trace, config),
+            frontend: Frontend::new(program, source, config),
             mem: MemoryHierarchy::new(config.mem),
             lsq: {
                 let mut lsq = LoadStoreQueue::new(config.lsq_entries);
                 lsq.set_conservative(config.conservative_disambiguation);
                 lsq
             },
-            slots: vec![Slot::default(); trace.len()],
+            slots: vec![Slot::default(); ring],
+            mask: ring as u64 - 1,
             head: 0,
             next_dispatch: 0,
             queue: VecDeque::new(),
@@ -270,6 +304,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             width: config.width,
             last_writer: [NONE; 64],
             external_values: 0,
+            branches: 0,
             pending_stores: Vec::new(),
             replay_until: 0,
             last_retire_cycle: 0,
@@ -280,23 +315,59 @@ impl<'a, O: Observer> Engine<'a, O> {
             },
             deadline_cycles: config.deadline_cycles,
             fetch_scratch: Vec::with_capacity(4 * config.width as usize),
-            started: std::time::Instant::now(),
+            started,
             obs,
             retired_this_cycle: false,
             stall_mark: StallMark::default(),
         }
     }
 
+    /// The timing slot of in-flight sequence number `seq`.
+    #[inline]
+    pub fn slot(&self, seq: u64) -> &Slot {
+        &self.slots[(seq & self.mask) as usize]
+    }
+
+    /// Mutable access to the timing slot of in-flight sequence number `seq`.
+    #[inline]
+    pub fn slot_mut(&mut self, seq: u64) -> &mut Slot {
+        &mut self.slots[(seq & self.mask) as usize]
+    }
+
+    /// The slot of producer `d` — in flight, or retired but not yet reused
+    /// — or `None` once a younger instruction has taken it over. The ring
+    /// margin of [`ring_len`] guarantees that a slot is reused only more
+    /// than `reach` cycles after its instruction retired.
+    pub fn producer(&self, d: u64) -> Option<&Slot> {
+        // Every sequence number below this has been dispatched at least
+        // once (checkpoint replay moves `next_dispatch` back, not this).
+        let dispatched = self.next_dispatch.max(self.replay_until);
+        (d + self.mask + 1 >= dispatched).then(|| self.slot(d))
+    }
+
+    /// The cycle producer `d`'s value becomes visible. A producer below
+    /// `head` has retired, and retirement implies `avail_at <= done_at <=
+    /// cycle`, so its slot is not consulted: it answers 0, "long visible",
+    /// which every caller treats exactly as any past cycle.
+    #[inline]
+    pub fn producer_avail(&self, d: u64) -> u64 {
+        if d < self.head {
+            0
+        } else {
+            self.slot(d).avail_at
+        }
+    }
+
     /// The static instruction behind sequence number `seq`.
     pub fn inst(&self, seq: u64) -> &'a Inst {
-        &self.program.insts[self.slots[seq as usize].idx as usize]
+        &self.program.insts[self.slot(seq).idx as usize]
     }
 
     /// The predecoded form of the instruction behind sequence number `seq`
     /// (the hot-path alternative to [`Engine::inst`]).
     #[inline]
     pub fn op(&self, seq: u64) -> &DecodedOp {
-        self.code.op(self.slots[seq as usize].idx)
+        self.code.op(self.slot(seq).idx)
     }
 
     /// Instructions currently in flight.
@@ -304,9 +375,10 @@ impl<'a, O: Observer> Engine<'a, O> {
         (self.next_dispatch - self.head) as usize
     }
 
-    /// Whether the whole trace has retired.
+    /// Whether the source is exhausted and everything it produced has
+    /// retired.
     pub fn finished(&self) -> bool {
-        self.head as usize >= self.trace.len()
+        self.frontend.exhausted() && self.head >= self.frontend.produced()
     }
 
     /// Fills the decoupling buffer from the front end, reusing the
@@ -316,6 +388,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         if room == 0 {
             return;
         }
+        self.frontend.release(self.head);
         self.frontend.fetch_into(self.cycle, &mut self.mem, room, &mut self.fetch_scratch);
         if !self.fetch_scratch.is_empty() {
             self.progress = true;
@@ -371,7 +444,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         let d = *self.code.op(f.idx);
         let replaying = seq < self.replay_until;
         let deps = if replaying {
-            self.slots[seq as usize].deps
+            self.slot(seq).deps
         } else {
             let mut deps = [NONE; 3];
             for (i, &r) in d.srcs.iter().enumerate() {
@@ -390,7 +463,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         if d.is_mem() {
             self.lsq.insert(seq, d.is_store(), f.addr, d.mem_bytes as u64);
         }
-        self.slots[seq as usize] = Slot {
+        *self.slot_mut(seq) = Slot {
             idx: f.idx,
             addr: f.addr,
             mispredicted: f.mispredicted,
@@ -412,7 +485,7 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// squashed range for dependence-link replay.
     pub fn squash_to_head(&mut self) {
         for seq in self.head..self.next_dispatch {
-            let s = &mut self.slots[seq as usize];
+            let s = self.slot_mut(seq);
             s.dispatched = false;
             s.issued = false;
             s.avail_at = NONE;
@@ -437,20 +510,14 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// the implicit cmov read) gate issue; the data may arrive later.
     pub fn deps_ready(&self, seq: u64) -> bool {
         let skip_value = self.op(seq).is_store();
-        self.slots[seq as usize]
-            .deps
-            .iter()
-            .enumerate()
-            .all(|(i, &d)| {
-                (skip_value && i == 0)
-                    || d == NONE
-                    || self.slots[d as usize].avail_at <= self.cycle
-            })
+        self.slot(seq).deps.iter().enumerate().all(|(i, &d)| {
+            (skip_value && i == 0) || d == NONE || self.producer_avail(d) <= self.cycle
+        })
     }
 
     /// Memory-ordering gate for a load about to issue.
     pub fn load_gate(&self, seq: u64) -> LoadGate {
-        let s = &self.slots[seq as usize];
+        let s = self.slot(seq);
         let bytes = self.code.op(s.idx).mem_bytes as u64;
         match self.lsq.load_outcome(seq, s.addr, bytes, self.cycle) {
             LsqOutcome::Ready => LoadGate::Go,
@@ -480,7 +547,7 @@ impl<'a, O: Observer> Engine<'a, O> {
                     2
                 }
                 LoadGate::Go => {
-                    let addr = self.slots[seq as usize].addr;
+                    let addr = self.slot(seq).addr;
                     1 + self.mem.access_at(Access::Load, addr, cycle)
                 }
             };
@@ -490,15 +557,15 @@ impl<'a, O: Observer> Engine<'a, O> {
         } else if op.is_store() {
             // Address generation issues as soon as the base is ready; the
             // data arrives when the value producer completes.
-            let addr = self.slots[seq as usize].addr;
+            let addr = self.slot(seq).addr;
             let bytes = op.mem_bytes as u64;
             self.lsq.set_address(seq, addr, bytes);
             let agen_done = cycle + 1;
-            let value_dep = self.slots[seq as usize].deps[0];
+            let value_dep = self.slot(seq).deps[0];
             let data_at = if value_dep == NONE {
                 agen_done
             } else {
-                let avail = self.slots[value_dep as usize].avail_at;
+                let avail = self.producer_avail(value_dep);
                 if avail == NONE {
                     // Producer not issued yet: finalize later.
                     self.pending_stores.push(seq);
@@ -520,17 +587,17 @@ impl<'a, O: Observer> Engine<'a, O> {
             };
             (avail, avail.max(complete))
         };
-        let s = &mut self.slots[seq as usize];
+        let s = self.slot_mut(seq);
         s.issued = true;
         s.avail_at = avail;
         s.done_at = done;
+        let mispredicted = s.mispredicted;
         if O::ENABLED {
             self.obs.issue(seq, cycle, avail, done);
         }
-        let s = &self.slots[seq as usize];
         if op.is_branch() {
             let resolve = cycle + 1;
-            if s.mispredicted {
+            if mispredicted {
                 self.frontend.resolve_branch(seq, resolve);
             }
         }
@@ -545,17 +612,24 @@ impl<'a, O: Observer> Engine<'a, O> {
     pub fn resolve_pending_stores(&mut self) {
         let mut resolved = false;
         let slots = &mut self.slots;
+        let mask = self.mask;
+        let head = self.head;
         let lsq = &mut self.lsq;
         let obs = &mut *self.obs;
         self.pending_stores.retain(|&seq| {
-            let value_dep = slots[seq as usize].deps[0];
+            let value_dep = slots[(seq & mask) as usize].deps[0];
             debug_assert_ne!(value_dep, NONE);
-            let avail = slots[value_dep as usize].avail_at;
+            // The producer issued after the store and is resolved here, at
+            // the first retire phase after it issued — before it can
+            // retire, so its slot is live.
+            debug_assert!(value_dep >= head, "pending store outlived its producer");
+            let avail = slots[(value_dep & mask) as usize].avail_at;
             if avail == NONE {
                 return true;
             }
-            let data_at = slots[seq as usize].avail_at.max(avail);
-            slots[seq as usize].done_at = data_at;
+            let store = &mut slots[(seq & mask) as usize];
+            let data_at = store.avail_at.max(avail);
+            store.done_at = data_at;
             lsq.set_data_at(seq, data_at);
             if O::ENABLED {
                 obs.store_data(seq, data_at);
@@ -576,16 +650,18 @@ impl<'a, O: Observer> Engine<'a, O> {
         let mut n = 0;
         while n < self.width && self.head < self.next_dispatch {
             let seq = self.head;
-            let s = &self.slots[seq as usize];
+            let s = self.slot(seq);
             debug_assert!(s.dispatched, "retiring an undispatched slot");
             if !s.issued || s.done_at > self.cycle {
                 break;
             }
-            let op = self.code.op(s.idx);
+            let addr = s.addr;
+            let op = *self.code.op(s.idx);
+            if op.is_branch() {
+                self.branches += 1;
+            }
             if op.is_mem() {
-                let is_store = op.is_store();
-                if is_store {
-                    let addr = s.addr;
+                if op.is_store() {
                     self.mem.access(Access::Store, addr);
                 }
                 self.lsq.retire(seq);
@@ -609,15 +685,14 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// empty window) for hotspot profiles.
     fn classify_cycle(&self) -> (StallCause, u32) {
         let in_flight = self.head < self.next_dispatch;
-        let head_idx =
-            if in_flight { self.slots[self.head as usize].idx } else { u32::MAX };
+        let head_idx = if in_flight { self.slot(self.head).idx } else { u32::MAX };
         if self.retired_this_cycle {
             return (StallCause::Base, head_idx);
         }
         // Oldest-first: a load miss holding retirement outranks the
         // secondary dispatch pressure it causes.
         if in_flight {
-            let s = &self.slots[self.head as usize];
+            let s = self.slot(self.head);
             if s.issued && s.done_at > self.cycle && self.code.op(s.idx).is_load() {
                 return (StallCause::DCache, head_idx);
             }
@@ -669,7 +744,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         } else {
             let mut next = NONE;
             for seq in self.head..self.next_dispatch {
-                let s = &self.slots[seq as usize];
+                let s = self.slot(seq);
                 if s.issued {
                     if s.avail_at > self.cycle {
                         next = next.min(s.avail_at);
@@ -741,12 +816,12 @@ impl<'a, O: Observer> Engine<'a, O> {
         match seqs.first() {
             None => format!("{name}: empty"),
             Some(&head) => {
-                let s = &self.slots[head as usize];
+                let s = self.slot(head);
                 let waiting: Vec<u64> = s
                     .deps
                     .iter()
                     .copied()
-                    .filter(|&d| d != NONE && self.slots[d as usize].avail_at > self.cycle)
+                    .filter(|&d| d != NONE && self.producer_avail(d) > self.cycle)
                     .collect();
                 format!(
                     "{name}: {} entries, head seq {head} (inst {} `{}`) issued={} deps-waiting={waiting:?}",
@@ -781,13 +856,7 @@ impl<'a, O: Observer> Engine<'a, O> {
         self.report.mispredict_stall_cycles = self.frontend.mispredict_stall_cycles;
         self.report.external_values_per_cycle =
             self.external_values as f64 / self.report.cycles as f64;
-        let branches = self
-            .trace
-            .entries
-            .iter()
-            .filter(|e| self.program.insts[e.idx as usize].opcode.is_branch())
-            .count() as u64;
-        self.report.checkpoint_words = branches * checkpoint_words_per_branch;
+        self.report.checkpoint_words = self.branches * checkpoint_words_per_branch;
         self.report
     }
 }
@@ -815,6 +884,25 @@ mod tests {
         assert_eq!(b.reserve_first_free(5), 6, "cycle 5 full, 6 has one left");
         assert_eq!(b.reserve_first_free(5), 7);
         b.gc(100);
+    }
+
+    #[test]
+    fn ring_length_depends_on_the_config_only() {
+        use crate::trace::TraceEntry;
+        let program = braid_isa::asm::assemble("nop\nhalt").expect("assembles");
+        let nop = TraceEntry { idx: 0, next_idx: 1, addr: 0, taken: false };
+        let config = CommonConfig::paper_8wide();
+        let ring = |n: usize| {
+            let entries = vec![nop; n];
+            let mut source = entries.as_slice();
+            let mut obs = NoopObserver;
+            let eng = Engine::new(&program, &mut source, &config, 4, &mut obs);
+            eng.slots.len()
+        };
+        assert_eq!(ring(10), ring(100_000));
+        assert_eq!(ring(10), ring_len(&config, 4));
+        assert!(ring_len(&config, 4).is_power_of_two());
+        assert!(ring_len(&config, 4) >= config.window + 4 * 8 + 8 * 5);
     }
 
     #[test]

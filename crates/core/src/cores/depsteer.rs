@@ -15,11 +15,11 @@ use braid_isa::Program;
 use braid_uarch::cache::MemoryHierarchy;
 
 use crate::config::DepConfig;
-use crate::cores::common::{Bandwidth, Engine, RegPool, NONE};
+use crate::cores::common::{Bandwidth, Engine, RegPool};
 use crate::error::SimError;
 use crate::obs::{NoopObserver, Observer};
 use crate::report::SimReport;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceSource};
 
 /// The dependence-steering timing model.
 #[derive(Debug, Clone)]
@@ -56,36 +56,23 @@ impl DepSteerCore {
         trace: &Trace,
         obs: &mut O,
     ) -> Result<SimReport, SimError> {
-        self.run_inner(program, trace, obs, None)
+        self.run_inner(program, &mut trace.entries.as_slice(), obs, None)
     }
 
-    /// Like [`DepSteerCore::run`], but starting from a pre-warmed memory
-    /// hierarchy instead of cold caches. Used by sampled simulation, where
-    /// functional warming supplies the cache state a continuous run would
-    /// have at the window start.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DepSteerCore::run`].
-    pub fn run_warmed(
+    /// The simulation loop over any [`TraceSource`]: the public entry
+    /// points pass a materialized trace, the full tier streams. `warm`
+    /// replaces the cold caches with the hierarchy functional warming
+    /// built (sampled windows).
+    pub(crate) fn run_inner<O: Observer>(
         &self,
         program: &Program,
-        trace: &Trace,
-        mem: MemoryHierarchy,
-    ) -> Result<SimReport, SimError> {
-        self.run_inner(program, trace, &mut NoopObserver, Some(mem))
-    }
-
-    fn run_inner<O: Observer>(
-        &self,
-        program: &Program,
-        trace: &Trace,
+        source: &mut dyn TraceSource,
         obs: &mut O,
         warm: Option<MemoryHierarchy>,
     ) -> Result<SimReport, SimError> {
         let cfg = &self.config;
         cfg.validate()?;
-        let mut eng = Engine::new(program, trace, &cfg.common, obs);
+        let mut eng = Engine::new(program, source, &cfg.common, 0, obs);
         if let Some(mem) = warm {
             eng.mem = mem;
         }
@@ -97,7 +84,7 @@ impl DepSteerCore {
         while !eng.finished() {
             let cyc = eng.cycle;
             eng.retire_phase(|eng, seq| {
-                let slot = eng.slots[seq as usize].tag2;
+                let slot = eng.slot(seq).tag2;
                 if slot != u32::MAX {
                     regs.release(slot, cyc);
                 }
@@ -168,13 +155,14 @@ impl DepSteerCore {
                 };
                 eng.queue.pop_front();
                 let seq = eng.dispatch_slot(&f, target as u32);
-                eng.slots[seq as usize].tag2 = reg_slot;
+                eng.slot_mut(seq).tag2 = reg_slot;
                 fifos[target].push_back(seq);
                 dispatched += 1;
             }
 
             eng.fetch_phase();
             bypass.gc(eng.cycle.saturating_sub(64));
+            wr_ports.gc(eng.cycle.saturating_sub(64));
             if O::ENABLED {
                 for (i, q) in fifos.iter().enumerate() {
                     eng.obs.unit_occupancy(i as u32, q.len() as u32);
@@ -189,7 +177,6 @@ impl DepSteerCore {
                 return Err(eng.livelock("dep", dump));
             }
         }
-        let _ = NONE;
         Ok(eng.finish(64))
     }
 }
@@ -242,6 +229,31 @@ mod tests {
         );
         let r = DepSteerCore::new(perfect_config()).run(&p, &t).expect("runs");
         assert!(r.ipc() > 1.5, "ipc {}", r.ipc());
+    }
+
+    #[test]
+    fn port_reservations_stay_bounded_on_long_runs() {
+        // A one-value bypass sends most results through the write ports,
+        // one map entry per busy cycle unless the map is collected.
+        let (p, t) = trace_of(
+            r#"
+                addi r0, #20000, r1
+            loop:
+                addq r2, r2, r2
+                addq r3, r3, r3
+                addq r4, r4, r4
+                subi r1, #1, r1
+                bne  r1, loop
+                halt
+            "#,
+        );
+        let mut narrow = perfect_config();
+        narrow.bypass_per_cycle = 1;
+        crate::cores::common::PEAK_BOOKED_CYCLES.with(|p| p.set(0));
+        let r = DepSteerCore::new(narrow).run(&p, &t).expect("runs");
+        assert!(r.cycles > 20_000, "long enough to overflow an uncollected map");
+        let peak = crate::cores::common::PEAK_BOOKED_CYCLES.with(|p| p.get());
+        assert!(peak <= 4096 + 256, "a port map grew to {peak} booked cycles");
     }
 
     #[test]

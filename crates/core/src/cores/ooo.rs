@@ -14,7 +14,7 @@ use crate::cores::common::{Bandwidth, Engine, RegPool};
 use crate::error::SimError;
 use crate::obs::{NoopObserver, Observer};
 use crate::report::SimReport;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceSource};
 
 /// The out-of-order timing model.
 #[derive(Debug, Clone)]
@@ -52,36 +52,23 @@ impl OooCore {
         trace: &Trace,
         obs: &mut O,
     ) -> Result<SimReport, SimError> {
-        self.run_inner(program, trace, obs, None)
+        self.run_inner(program, &mut trace.entries.as_slice(), obs, None)
     }
 
-    /// Like [`OooCore::run`], but starting from a pre-warmed memory
-    /// hierarchy instead of cold caches. Used by sampled simulation, where
-    /// functional warming supplies the cache state a continuous run would
-    /// have at the window start.
-    ///
-    /// # Errors
-    ///
-    /// As for [`OooCore::run`].
-    pub fn run_warmed(
+    /// The simulation loop over any [`TraceSource`]: the public entry
+    /// points pass a materialized trace, the full tier streams. `warm`
+    /// replaces the cold caches with the hierarchy functional warming
+    /// built (sampled windows).
+    pub(crate) fn run_inner<O: Observer>(
         &self,
         program: &Program,
-        trace: &Trace,
-        mem: MemoryHierarchy,
-    ) -> Result<SimReport, SimError> {
-        self.run_inner(program, trace, &mut NoopObserver, Some(mem))
-    }
-
-    fn run_inner<O: Observer>(
-        &self,
-        program: &Program,
-        trace: &Trace,
+        source: &mut dyn TraceSource,
         obs: &mut O,
         warm: Option<MemoryHierarchy>,
     ) -> Result<SimReport, SimError> {
         let cfg = &self.config;
         cfg.validate()?;
-        let mut eng = Engine::new(program, trace, &cfg.common, obs);
+        let mut eng = Engine::new(program, source, &cfg.common, 0, obs);
         if let Some(mem) = warm {
             eng.mem = mem;
         }
@@ -98,7 +85,7 @@ impl OooCore {
             // Retire: free the in-flight register buffer entry.
             let cyc = eng.cycle;
             eng.retire_phase(|eng, seq| {
-                let slot = eng.slots[seq as usize].tag2;
+                let slot = eng.slot(seq).tag2;
                 if slot != u32::MAX {
                     regs.release(slot, cyc);
                 }
@@ -183,7 +170,7 @@ impl OooCore {
                 }
                 eng.queue.pop_front();
                 let seq = eng.dispatch_slot(&f, sched as u32);
-                eng.slots[seq as usize].tag2 = reg_slot;
+                eng.slot_mut(seq).tag2 = reg_slot;
                 scheds[sched].push(seq);
                 dispatched += 1;
             }

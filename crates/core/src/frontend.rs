@@ -18,7 +18,7 @@ use braid_uarch::cache::{Access, MemoryHierarchy};
 use braid_uarch::stats::Ratio;
 
 use crate::config::CommonConfig;
-use crate::trace::Trace;
+use crate::trace::{TraceEntry, TraceSource};
 
 /// Base address of the simulated text segment (instruction fetch
 /// addresses), chosen away from workload data.
@@ -26,6 +26,12 @@ pub const TEXT_BASE: u64 = 0x4000_0000;
 
 /// Bytes per instruction in the simulated text segment.
 pub const INST_BYTES: u64 = 8;
+
+/// Entries pulled from the trace source per refill of the fetch window
+/// (1.5 MiB of entries). Large enough that a short program is produced
+/// whole by the first refill, so its producer can release the functional
+/// state before timing starts.
+const REFILL_CHUNK: usize = 1 << 16;
 
 /// Why fetch is currently not delivering instructions (CPI attribution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +43,7 @@ pub enum FetchGap {
     Mispredict,
     /// Waiting for an instruction-cache miss to return.
     ICache,
-    /// The trace is exhausted; nothing left to fetch.
+    /// The stream is exhausted; nothing left to fetch.
     Done,
 }
 
@@ -55,10 +61,27 @@ pub struct Fetched {
 }
 
 /// The fetch engine.
+///
+/// Fetch reads the committed stream through a window of entries
+/// `[base, base + window.len())`, refilled from the source in chunks. The
+/// window keeps every entry from the oldest unretired instruction on (see
+/// [`Frontend::release`]), so a checkpoint [`Frontend::rewind`] to that
+/// instruction always finds its entries. Invariant: `pos < base +
+/// window.len()` unless the source is exhausted, which makes
+/// [`Frontend::done`] exact.
 pub struct Frontend<'a> {
     program: &'a Program,
-    trace: &'a Trace,
-    pos: usize,
+    source: &'a mut dyn TraceSource,
+    /// The buffered part of the stream, starting at sequence `base`.
+    window: Vec<TraceEntry>,
+    /// Sequence number of `window[0]`.
+    base: u64,
+    /// Entries below this sequence number are never fetched again.
+    keep_from: u64,
+    /// The source returned nothing on its last refill.
+    exhausted: bool,
+    /// Sequence number of the next entry to fetch.
+    pos: u64,
     /// Fetch may not proceed before this cycle (misprediction refill or
     /// I-cache miss).
     resume_at: u64,
@@ -80,11 +103,20 @@ pub struct Frontend<'a> {
 }
 
 impl<'a> Frontend<'a> {
-    /// Creates a front end over `trace` of `program`.
-    pub fn new(program: &'a Program, trace: &'a Trace, config: &CommonConfig) -> Frontend<'a> {
-        Frontend {
+    /// Creates a front end over the committed stream of `program` that
+    /// `source` supplies.
+    pub fn new(
+        program: &'a Program,
+        source: &'a mut dyn TraceSource,
+        config: &CommonConfig,
+    ) -> Frontend<'a> {
+        let mut fe = Frontend {
             program,
-            trace,
+            source,
+            window: Vec::new(),
+            base: 0,
+            keep_from: 0,
+            exhausted: false,
             pos: 0,
             resume_at: 0,
             blocked_on: None,
@@ -108,12 +140,42 @@ impl<'a> Frontend<'a> {
             mispredict_stall_from: 0,
             mispredict_stall_cycles: 0,
             resume_reason: FetchGap::None,
-        }
+        };
+        fe.refill();
+        fe
     }
 
-    /// Whether every trace entry has been fetched.
+    /// One past the last sequence number pulled from the source so far.
+    pub fn produced(&self) -> u64 {
+        self.base + self.window.len() as u64
+    }
+
+    /// Whether the source has ended: [`Frontend::produced`] is then the
+    /// length of the whole stream.
+    pub fn exhausted(&self) -> bool {
+        self.exhausted
+    }
+
+    /// Whether the source has ended and every entry it produced has been
+    /// fetched.
     pub fn done(&self) -> bool {
-        self.pos >= self.trace.len()
+        self.exhausted && self.pos >= self.produced()
+    }
+
+    /// Lets the window drop entries below `seq` (the oldest unretired
+    /// instruction) at its next refill.
+    pub fn release(&mut self, seq: u64) {
+        self.keep_from = seq;
+    }
+
+    /// Drops released entries and pulls the next chunk from the source.
+    fn refill(&mut self) {
+        let dropped = self.keep_from.min(self.pos) - self.base;
+        self.window.drain(..dropped as usize);
+        self.base += dropped;
+        let before = self.window.len();
+        self.source.fill(&mut self.window, REFILL_CHUNK);
+        self.exhausted = self.window.len() == before;
     }
 
     /// The earliest cycle at which fetch could make progress again.
@@ -125,11 +187,13 @@ impl<'a> Frontend<'a> {
         }
     }
 
-    /// Rewinds fetch to trace position `pos` (checkpoint recovery). The
-    /// predictor state is kept — replayed branches train twice, a minor
-    /// artifact of trace-driven replay.
+    /// Rewinds fetch to trace position `pos` (checkpoint recovery), which
+    /// must not lie below the last [`Frontend::release`]. The predictor
+    /// state is kept — replayed branches train twice, a minor artifact of
+    /// trace-driven replay.
     pub fn rewind(&mut self, pos: u64, cycle: u64) {
-        self.pos = pos as usize;
+        debug_assert!(pos >= self.keep_from, "rewind below the released window");
+        self.pos = pos;
         self.blocked_on = None;
         self.resume_at = self.resume_at.max(cycle);
         self.resume_reason = FetchGap::Mispredict;
@@ -200,8 +264,8 @@ impl<'a> Frontend<'a> {
         }
         let l1i_latency = mem.config().l1i.latency;
         let mut branches = 0;
-        while out.len() < room.min(self.width as usize) && self.pos < self.trace.len() {
-            let entry = self.trace.entries[self.pos];
+        while out.len() < room.min(self.width as usize) && self.pos < self.produced() {
+            let entry = self.window[(self.pos - self.base) as usize];
             let inst = &self.program.insts[entry.idx as usize];
             // Instruction cache: a miss delays the rest of fetch.
             let lat = mem.access(Access::Fetch, TEXT_BASE + entry.idx as u64 * INST_BYTES);
@@ -255,12 +319,15 @@ impl<'a> Frontend<'a> {
                 }
             }
             out.push(Fetched {
-                seq: self.pos as u64,
+                seq: self.pos,
                 idx: entry.idx,
                 addr: entry.addr,
                 mispredicted,
             });
             self.pos += 1;
+            if self.pos == self.produced() && !self.exhausted {
+                self.refill();
+            }
             if btb_bubble {
                 self.resume_at = self.resume_at.max(cycle + 2);
                 self.resume_reason = FetchGap::Mispredict;
@@ -269,7 +336,7 @@ impl<'a> Frontend<'a> {
             if mispredicted {
                 // Fetch is down the wrong path from here; stall until the
                 // core resolves this branch.
-                self.blocked_on = Some(self.pos as u64 - 1);
+                self.blocked_on = Some(self.pos - 1);
                 self.mispredict_stall_from = cycle + 1;
                 break;
             }
@@ -284,7 +351,7 @@ mod tests {
     use braid_isa::asm::assemble;
     use braid_uarch::cache::MemoryHierarchyConfig;
 
-    fn setup(src: &str) -> (braid_isa::Program, Trace) {
+    fn setup(src: &str) -> (braid_isa::Program, crate::trace::Trace) {
         let p = assemble(src).unwrap();
         let mut m = Machine::new(&p);
         let t = m.run(&p, 100_000).unwrap();
@@ -296,7 +363,8 @@ mod tests {
         let (p, t) = setup("nop\nnop\nnop\nnop\nnop\nnop\nnop\nnop\nnop\nhalt");
         let cfg = CommonConfig::paper_8wide().perfect();
         let mut mem = MemoryHierarchy::new(MemoryHierarchyConfig::perfect());
-        let mut fe = Frontend::new(&p, &t, &cfg);
+        let mut src = t.entries.as_slice();
+        let mut fe = Frontend::new(&p, &mut src, &cfg);
         let g1 = fe.fetch(0, &mut mem, 64);
         assert_eq!(g1.len(), 8);
         let g2 = fe.fetch(1, &mut mem, 64);
@@ -311,7 +379,8 @@ mod tests {
         );
         let cfg = CommonConfig::paper_8wide().perfect();
         let mut mem = MemoryHierarchy::new(MemoryHierarchyConfig::perfect());
-        let mut fe = Frontend::new(&p, &t, &cfg);
+        let mut src = t.entries.as_slice();
+        let mut fe = Frontend::new(&p, &mut src, &cfg);
         let mut cycle = 0;
         let mut fetched = 0;
         while !fe.done() {
@@ -334,7 +403,8 @@ mod tests {
         );
         let cfg = CommonConfig::paper_8wide().perfect();
         let mut mem = MemoryHierarchy::new(MemoryHierarchyConfig::perfect());
-        let mut fe = Frontend::new(&p, &t, &cfg);
+        let mut src = t.entries.as_slice();
+        let mut fe = Frontend::new(&p, &mut src, &cfg);
         let g = fe.fetch(0, &mut mem, 64);
         assert_eq!(g.len(), 3, "three branches max per cycle");
     }
@@ -349,7 +419,8 @@ mod tests {
         let mut cfg = CommonConfig::paper_8wide();
         cfg.perfect_branch_predictor = false;
         let mut mem = MemoryHierarchy::new(MemoryHierarchyConfig::perfect());
-        let mut fe = Frontend::new(&p, &t, &cfg);
+        let mut src = t.entries.as_slice();
+        let mut fe = Frontend::new(&p, &mut src, &cfg);
         let mut cycle = 0;
         let mut got = Vec::new();
         let mut resolved_pending: Option<(u64, u64)> = None;
@@ -386,7 +457,8 @@ mod tests {
         );
         let cfg = CommonConfig::paper_8wide().perfect();
         let mut mem = MemoryHierarchy::new(MemoryHierarchyConfig::perfect());
-        let mut fe = Frontend::new(&p, &t, &cfg);
+        let mut src = t.entries.as_slice();
+        let mut fe = Frontend::new(&p, &mut src, &cfg);
         let mut cycle = 0;
         while !fe.done() && cycle < 100 {
             for f in fe.fetch(cycle, &mut mem, 64) {
@@ -403,7 +475,8 @@ mod tests {
         let cfg = CommonConfig::paper_8wide().perfect();
         // Real (cold) caches: first access misses to memory.
         let mut mem = MemoryHierarchy::new(MemoryHierarchyConfig::default());
-        let mut fe = Frontend::new(&p, &t, &cfg);
+        let mut src = t.entries.as_slice();
+        let mut fe = Frontend::new(&p, &mut src, &cfg);
         assert!(fe.fetch(0, &mut mem, 64).is_empty(), "cold I-cache miss");
         let resume = fe.next_event().unwrap();
         assert!(resume > 300, "miss to memory takes ~400 cycles");
@@ -420,7 +493,7 @@ mod btb_gshare_tests {
     use braid_isa::asm::assemble;
     use braid_uarch::cache::MemoryHierarchyConfig;
 
-    fn setup(src: &str) -> (braid_isa::Program, Trace) {
+    fn setup(src: &str) -> (braid_isa::Program, crate::trace::Trace) {
         let p = assemble(src).unwrap();
         let mut m = Machine::new(&p);
         let t = m.run(&p, 100_000).unwrap();
@@ -433,7 +506,8 @@ mod btb_gshare_tests {
         let mut cfg = CommonConfig::paper_8wide();
         cfg.perfect_branch_predictor = false;
         cfg.mem = MemoryHierarchyConfig::perfect();
-        let mut fe = Frontend::new(&p, &t, &cfg);
+        let mut src = t.entries.as_slice();
+        let mut fe = Frontend::new(&p, &mut src, &cfg);
         let mut mem = braid_uarch::cache::MemoryHierarchy::new(cfg.mem);
         let mut cycle = 0;
         let mut pending: Option<(u64, u64)> = None;
@@ -463,7 +537,8 @@ mod btb_gshare_tests {
         cfg.perfect_branch_predictor = false;
         cfg.predictor = PredictorKind::Gshare;
         cfg.mem = MemoryHierarchyConfig::perfect();
-        let mut fe = Frontend::new(&p, &t, &cfg);
+        let mut src = t.entries.as_slice();
+        let mut fe = Frontend::new(&p, &mut src, &cfg);
         let mut mem = braid_uarch::cache::MemoryHierarchy::new(cfg.mem);
         let mut cycle = 0;
         let mut pending: Option<(u64, u64)> = None;

@@ -791,7 +791,25 @@ impl<'a> FastMachine<'a> {
         max_insts: u64,
         out: &mut Vec<TraceEntry>,
     ) -> Result<(), ExecError> {
-        self.run_span::<true, false, _>(u64::MAX, max_insts, out, &mut no_sink)
+        self.run_recording_until(u64::MAX, max_insts, out)
+    }
+
+    /// Like [`FastMachine::run_until`], appending every trace entry to
+    /// `out`: successive calls with rising `stop` record the same entries
+    /// as one [`FastMachine::run_recording`] pass, chunk by chunk. The
+    /// streamed full tier pulls its trace this way.
+    ///
+    /// # Errors
+    ///
+    /// See [`ExecError`]. Entries executed before the failing instruction
+    /// stay in `out`; the machine must not be resumed after an error.
+    pub fn run_recording_until(
+        &mut self,
+        stop: u64,
+        fuel: u64,
+        out: &mut Vec<TraceEntry>,
+    ) -> Result<(), ExecError> {
+        self.run_span::<true, false, _>(stop, fuel, out, &mut no_sink)
     }
 
     /// Records execution up to `stop`, then keeps recording until the next

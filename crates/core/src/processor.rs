@@ -11,14 +11,14 @@ use crate::config::{BraidConfig, CommonConfig, DepConfig, InOrderConfig, OooConf
 use crate::cores::{BraidCore, DepSteerCore, InOrderCore, OooCore};
 use crate::frontend::{INST_BYTES, TEXT_BASE};
 use crate::func::{
-    run_func, run_sampled_with, FuncReport, SampleError, SampleTiming, SampledReport,
-    SamplingConfig, Tier,
+    run_func, run_sampled_with, FastMachine, FuncReport, FuncTable, SampleError, SampleTiming,
+    SampledReport, SamplingConfig, Tier,
 };
 use crate::functional::{ExecError, Machine};
-use crate::obs::Observer;
+use crate::obs::{NoopObserver, Observer};
 use crate::predecode::DecodedOp;
 use crate::report::SimReport;
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceEntry, TraceSource};
 
 /// Errors from the one-call pipelines.
 #[derive(Debug)]
@@ -183,31 +183,24 @@ impl CoreConfig {
         }
     }
 
-    /// Times `trace` on a **fresh** core instance (the warm-up subtraction
-    /// of sampling relies on every window starting from identical pipeline
-    /// state).
-    fn run_trace(&self, program: &Program, trace: &Trace) -> Result<SimReport, crate::error::SimError> {
-        match self {
-            CoreConfig::InOrder(c) => InOrderCore::new(c.clone()).run(program, trace),
-            CoreConfig::Dep(c) => DepSteerCore::new(c.clone()).run(program, trace),
-            CoreConfig::Ooo(c) => OooCore::new(c.clone()).run(program, trace),
-            CoreConfig::Braid(c) => BraidCore::new(c.clone()).run(program, trace),
-        }
-    }
-
-    /// Like [`CoreConfig::run_trace`], but seeding the fresh core with a
-    /// pre-warmed memory hierarchy.
-    fn run_trace_warmed(
+    /// Times the stream `source` supplies on a **fresh** core instance,
+    /// seeded with the pre-warmed memory hierarchy `warm` when given (the
+    /// warm-up subtraction of sampling relies on every window starting
+    /// from identical pipeline state).
+    fn run_source<O: Observer>(
         &self,
         program: &Program,
-        trace: &Trace,
-        mem: MemoryHierarchy,
+        source: &mut dyn TraceSource,
+        obs: &mut O,
+        warm: Option<MemoryHierarchy>,
     ) -> Result<SimReport, crate::error::SimError> {
         match self {
-            CoreConfig::InOrder(c) => InOrderCore::new(c.clone()).run_warmed(program, trace, mem),
-            CoreConfig::Dep(c) => DepSteerCore::new(c.clone()).run_warmed(program, trace, mem),
-            CoreConfig::Ooo(c) => OooCore::new(c.clone()).run_warmed(program, trace, mem),
-            CoreConfig::Braid(c) => BraidCore::new(c.clone()).run_warmed(program, trace, mem),
+            CoreConfig::InOrder(c) => InOrderCore::new(c.clone()).run_inner(program, source, obs, warm),
+            CoreConfig::Dep(c) => DepSteerCore::new(c.clone()).run_inner(program, source, obs, warm),
+            CoreConfig::Ooo(c) => OooCore::new(c.clone()).run_inner(program, source, obs, warm),
+            CoreConfig::Braid(c) => {
+                BraidCore::new(c.clone()).run_inner(program, source, &[], 0, obs, warm)
+            }
         }
     }
 }
@@ -249,7 +242,9 @@ impl SampleTiming for WarmedTiming<'_> {
     }
 
     fn time(&mut self, trace: &Trace) -> Result<SimReport, crate::error::SimError> {
-        self.core.run_trace_warmed(self.program, trace, self.checkpoint.clone())
+        let mut source = trace.entries.as_slice();
+        let warm = Some(self.checkpoint.clone());
+        self.core.run_source(self.program, &mut source, &mut NoopObserver, warm)
     }
 }
 
@@ -295,12 +290,11 @@ impl TierReport {
     }
 }
 
-/// For the braid core: translate and vet `program`, returning the program
-/// the core actually executes. Every other core runs `program` as-is.
-fn tier_program(program: &Program, core: &CoreConfig) -> Result<Option<Program>, RunError> {
-    if !core.is_braid() {
-        return Ok(None);
-    }
+/// Translates `program` into braids and vets the result with the static
+/// braid-contract checker, in debug *and* release builds, so the braid
+/// machine never executes an ill-formed program. The translator's own
+/// debug self-check is turned off to avoid checking twice.
+fn braid_translation(program: &Program) -> Result<Translation, RunError> {
     let tconfig = TranslatorConfig { self_check: false, ..Default::default() };
     let translation = translate(program, &tconfig)?;
     let report = translation.check(
@@ -310,7 +304,16 @@ fn tier_program(program: &Program, core: &CoreConfig) -> Result<Option<Program>,
     if report.has_errors() {
         return Err(RunError::Check(Box::new(report)));
     }
-    Ok(Some(translation.program))
+    Ok(translation)
+}
+
+/// For the braid core: translate and vet `program`, returning the program
+/// the core actually executes. Every other core runs `program` as-is.
+fn tier_program(program: &Program, core: &CoreConfig) -> Result<Option<Program>, RunError> {
+    if !core.is_braid() {
+        return Ok(None);
+    }
+    Ok(Some(braid_translation(program)?.program))
 }
 
 /// Runs `program` on `core` at the requested execution [`Tier`] — the
@@ -333,10 +336,7 @@ pub fn run_tier(
     let translated = tier_program(program, core)?;
     let program = translated.as_ref().unwrap_or(program);
     match tier {
-        Tier::Full => {
-            let trace = trace_program(program, max_insts)?;
-            Ok(TierReport::Full(core.run_trace(program, &trace)?))
-        }
+        Tier::Full => Ok(TierReport::Full(run_streamed(program, core, max_insts, &mut NoopObserver)?)),
         Tier::Func => Ok(TierReport::Func(run_func(program, max_insts)?)),
         Tier::Sampled => {
             let timing = WarmedTiming::new(core, program);
@@ -346,8 +346,10 @@ pub fn run_tier(
     }
 }
 
-/// Functionally executes `program` for at most `max_insts` instructions and
-/// returns the committed trace.
+/// Functionally executes `program` for at most `max_insts` instructions on
+/// the golden interpreter and returns the committed trace: the oracle that
+/// differential tests, bounds and trace files are checked against (the
+/// timing entry points stream from the fast interpreter instead).
 ///
 /// # Errors
 ///
@@ -356,6 +358,63 @@ pub fn run_tier(
 pub fn trace_program(program: &Program, max_insts: u64) -> Result<Trace, RunError> {
     let mut m = Machine::new(program);
     Ok(m.run(program, max_insts)?)
+}
+
+/// The full tier's trace producer: the fast interpreter records the
+/// committed stream chunk by chunk as the engine's fetch window drains it,
+/// so no run materializes its trace. The interpreter (with its memory
+/// image) is dropped as soon as the program halts, so a program short
+/// enough to fit one refill never holds its functional and timing state
+/// at once. An execution error ends the stream and is kept for
+/// [`run_streamed`] to report.
+struct Producer<'t> {
+    fast: Option<FastMachine<'t>>,
+    fuel: u64,
+    error: Option<ExecError>,
+}
+
+impl TraceSource for Producer<'_> {
+    fn fill(&mut self, out: &mut Vec<TraceEntry>, max: usize) {
+        let Some(fast) = self.fast.as_mut().filter(|_| self.error.is_none()) else {
+            return;
+        };
+        let stop = fast.executed().saturating_add(max as u64);
+        if let Err(e) = fast.run_recording_until(stop, self.fuel, out) {
+            self.error = Some(e);
+        } else if fast.halted() {
+            self.fast = None;
+        }
+    }
+}
+
+/// Full-tier timing of `program` on `core` with trace production and
+/// timing interleaved: memory stays bounded by the core's window whatever
+/// the run length, and the report's `host_nanos` covers both.
+///
+/// An [`ExecError`] always wins over a timing error, as it did when the
+/// whole trace was produced before timing started: when timing fails
+/// first (deadline, livelock, bad configuration), the rest of the program
+/// is executed without recording — fuel-bounded, constant memory — and an
+/// execution error found there is returned instead.
+fn run_streamed<O: Observer>(
+    program: &Program,
+    core: &CoreConfig,
+    max_insts: u64,
+    obs: &mut O,
+) -> Result<SimReport, RunError> {
+    let table = FuncTable::new(program);
+    let mut producer =
+        Producer { fast: Some(FastMachine::new(program, &table)), fuel: max_insts, error: None };
+    let timed = core.run_source(program, &mut producer, obs, None);
+    if timed.is_err() && producer.error.is_none() {
+        if let Some(fast) = producer.fast.as_mut() {
+            producer.error = fast.run(max_insts).err();
+        }
+    }
+    match producer.error {
+        Some(e) => Err(RunError::Exec(e)),
+        None => Ok(timed?),
+    }
 }
 
 /// Runs an already-prepared program on `core` **as-is** — no translation,
@@ -384,49 +443,45 @@ pub fn run_annotated(
             return Err(RunError::Check(Box::new(report)));
         }
     }
-    let trace = trace_program(program, max_insts)?;
-    Ok(core.run_trace(program, &trace)?)
+    run_streamed(program, core, max_insts, &mut NoopObserver)
 }
 
 /// Runs `program` on the conventional out-of-order machine.
 ///
 /// # Errors
 ///
-/// Propagates functional-execution failures.
+/// Propagates functional-execution and timing failures.
 pub fn run_ooo(program: &Program, config: &OooConfig, max_insts: u64) -> Result<SimReport, RunError> {
-    let trace = trace_program(program, max_insts)?;
-    Ok(OooCore::new(config.clone()).run(program, &trace)?)
+    run_ooo_observed(program, config, max_insts, &mut NoopObserver)
 }
 
 /// Runs `program` on the in-order machine.
 ///
 /// # Errors
 ///
-/// Propagates functional-execution failures.
+/// Propagates functional-execution and timing failures.
 pub fn run_inorder(
     program: &Program,
     config: &InOrderConfig,
     max_insts: u64,
 ) -> Result<SimReport, RunError> {
-    let trace = trace_program(program, max_insts)?;
-    Ok(InOrderCore::new(config.clone()).run(program, &trace)?)
+    run_inorder_observed(program, config, max_insts, &mut NoopObserver)
 }
 
 /// Runs `program` on the dependence-steering machine.
 ///
 /// # Errors
 ///
-/// Propagates functional-execution failures.
+/// Propagates functional-execution and timing failures.
 pub fn run_dep(program: &Program, config: &DepConfig, max_insts: u64) -> Result<SimReport, RunError> {
-    let trace = trace_program(program, max_insts)?;
-    Ok(DepSteerCore::new(config.clone()).run(program, &trace)?)
+    run_dep_observed(program, config, max_insts, &mut NoopObserver)
 }
 
 /// Translates `program` into braids and runs it on the braid machine.
 ///
 /// # Errors
 ///
-/// Propagates translation and functional-execution failures.
+/// Propagates translation, functional-execution and timing failures.
 pub fn run_braid(
     program: &Program,
     config: &BraidConfig,
@@ -441,15 +496,14 @@ pub fn run_braid(
 ///
 /// # Errors
 ///
-/// Propagates functional-execution failures.
+/// Propagates functional-execution and timing failures.
 pub fn run_ooo_observed<O: Observer>(
     program: &Program,
     config: &OooConfig,
     max_insts: u64,
     obs: &mut O,
 ) -> Result<SimReport, RunError> {
-    let trace = trace_program(program, max_insts)?;
-    Ok(OooCore::new(config.clone()).run_observed(program, &trace, obs)?)
+    run_streamed(program, &CoreConfig::Ooo(config.clone()), max_insts, obs)
 }
 
 /// Runs `program` on the in-order machine with pipeline events sent to
@@ -457,15 +511,14 @@ pub fn run_ooo_observed<O: Observer>(
 ///
 /// # Errors
 ///
-/// Propagates functional-execution failures.
+/// Propagates functional-execution and timing failures.
 pub fn run_inorder_observed<O: Observer>(
     program: &Program,
     config: &InOrderConfig,
     max_insts: u64,
     obs: &mut O,
 ) -> Result<SimReport, RunError> {
-    let trace = trace_program(program, max_insts)?;
-    Ok(InOrderCore::new(config.clone()).run_observed(program, &trace, obs)?)
+    run_streamed(program, &CoreConfig::InOrder(config.clone()), max_insts, obs)
 }
 
 /// Runs `program` on the dependence-steering machine with pipeline events
@@ -473,15 +526,14 @@ pub fn run_inorder_observed<O: Observer>(
 ///
 /// # Errors
 ///
-/// Propagates functional-execution failures.
+/// Propagates functional-execution and timing failures.
 pub fn run_dep_observed<O: Observer>(
     program: &Program,
     config: &DepConfig,
     max_insts: u64,
     obs: &mut O,
 ) -> Result<SimReport, RunError> {
-    let trace = trace_program(program, max_insts)?;
-    Ok(DepSteerCore::new(config.clone()).run_observed(program, &trace, obs)?)
+    run_streamed(program, &CoreConfig::Dep(config.clone()), max_insts, obs)
 }
 
 /// Translates `program` into braids and runs it on the braid machine with
@@ -497,49 +549,27 @@ pub fn run_braid_observed<O: Observer>(
     max_insts: u64,
     obs: &mut O,
 ) -> Result<(SimReport, Translation), RunError> {
-    let tconfig = TranslatorConfig { self_check: false, ..Default::default() };
-    let translation = translate(program, &tconfig)?;
-    let report = translation.check(
-        program,
-        &braid_check::CheckConfig { max_internal_regs: tconfig.max_internal_regs },
-    );
-    if report.has_errors() {
-        return Err(RunError::Check(Box::new(report)));
-    }
-    let trace = trace_program(&translation.program, max_insts)?;
-    let report = BraidCore::new(config.clone()).run_observed(&translation.program, &trace, obs)?;
+    let translation = braid_translation(program)?;
+    let core = CoreConfig::Braid(config.clone());
+    let report = run_streamed(&translation.program, &core, max_insts, obs)?;
     Ok((report, translation))
 }
 
 /// Like [`run_braid`] but also returns the translation (for braid
-/// statistics).
-///
-/// The translation is vetted by the static braid-contract checker before
-/// any simulation — in debug *and* release builds — so the braid machine
-/// never executes an ill-formed program. The translator's own debug
-/// self-check is turned off here to avoid checking twice.
+/// statistics). The translation is vetted by the static braid-contract
+/// checker before any simulation.
 ///
 /// # Errors
 ///
-/// Propagates translation and functional-execution failures; returns
-/// [`RunError::Check`] when the translation violates the braid contract.
+/// Propagates translation, functional-execution and timing failures;
+/// returns [`RunError::Check`] when the translation violates the braid
+/// contract.
 pub fn run_braid_with_translation(
     program: &Program,
     config: &BraidConfig,
     max_insts: u64,
 ) -> Result<(SimReport, Translation), RunError> {
-    let tconfig = TranslatorConfig { self_check: false, ..Default::default() };
-    let translation = translate(program, &tconfig)?;
-    let report = translation.check(
-        program,
-        &braid_check::CheckConfig { max_internal_regs: tconfig.max_internal_regs },
-    );
-    if report.has_errors() {
-        return Err(RunError::Check(Box::new(report)));
-    }
-    let trace = trace_program(&translation.program, max_insts)?;
-    let report = BraidCore::new(config.clone()).run(&translation.program, &trace)?;
-    Ok((report, translation))
+    run_braid_observed(program, config, max_insts, &mut NoopObserver)
 }
 
 #[cfg(test)]
@@ -621,6 +651,79 @@ mod tests {
             run_ooo(&p, &OooConfig::paper_8wide(), 100),
             Err(RunError::Exec(ExecError::OutOfFuel))
         ));
+    }
+
+    /// The paper-default configuration of every core, with `edit` applied
+    /// to the shared pipeline settings.
+    fn cores_with(edit: impl Fn(&mut CommonConfig)) -> [CoreConfig; 4] {
+        let mut io = InOrderConfig::paper_8wide();
+        let mut dep = DepConfig::paper_8wide();
+        let mut ooo = OooConfig::paper_8wide();
+        let mut braid = BraidConfig::paper_default();
+        for common in [&mut io.common, &mut dep.common, &mut ooo.common, &mut braid.common] {
+            edit(common);
+        }
+        [CoreConfig::InOrder(io), CoreConfig::Dep(dep), CoreConfig::Ooo(ooo), CoreConfig::Braid(braid)]
+    }
+
+    /// Full-tier runs of `program` on `core` through both entry points:
+    /// the tier driver and the per-core `run_*` function.
+    fn both_entry_points(program: &Program, core: &CoreConfig, fuel: u64) -> [Result<u64, RunError>; 2] {
+        let sampling = SamplingConfig::default();
+        let tiered = run_tier(program, core, Tier::Full, fuel, &sampling).map(|r| r.instructions());
+        let direct = match core {
+            CoreConfig::InOrder(c) => run_inorder(program, c, fuel),
+            CoreConfig::Dep(c) => run_dep(program, c, fuel),
+            CoreConfig::Ooo(c) => run_ooo(program, c, fuel),
+            CoreConfig::Braid(c) => run_braid(program, c, fuel),
+        };
+        [tiered, direct.map(|r| r.instructions)]
+    }
+
+    #[test]
+    fn exec_errors_beat_deadlines_on_every_core() {
+        let spin = assemble("loop: br loop\nhalt").unwrap();
+        for core in cores_with(|c| c.deadline_cycles = 10) {
+            // Fuel 100 fails inside the first chunk the engine pulls;
+            // 100 000 only in the drain after the deadline fired.
+            for fuel in [100, 100_000] {
+                for r in both_entry_points(&spin, &core, fuel) {
+                    assert!(
+                        matches!(r, Err(RunError::Exec(ExecError::OutOfFuel))),
+                        "{} fuel {fuel}: {r:?}",
+                        core.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exec_errors_beat_livelock_on_every_core() {
+        // Thousands of instructions, then a return far outside the text
+        // segment. A one-cycle watchdog livelocks every core on its first
+        // cold I-cache miss, long before the stream reaches the escape.
+        let escape = assemble(
+            "addi r0, #3000, r1\nloop: subi r1, #1, r1\nbne r1, loop\naddi r0, #100, r2\nret r2\nhalt",
+        )
+        .unwrap();
+        let halts = assemble("addi r0, #3000, r1\nloop: subi r1, #1, r1\nbne r1, loop\nhalt").unwrap();
+        for core in cores_with(|c| c.watchdog_cycles = 1) {
+            for r in both_entry_points(&halts, &core, 100_000) {
+                assert!(
+                    matches!(r, Err(RunError::Sim(crate::error::SimError::Livelock(_)))),
+                    "{}: the timing run must livelock on its own: {r:?}",
+                    core.name()
+                );
+            }
+            for r in both_entry_points(&escape, &core, 100_000) {
+                assert!(
+                    matches!(r, Err(RunError::Exec(ExecError::PcOutOfRange(100)))),
+                    "{}: {r:?}",
+                    core.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,8 +44,10 @@ pub struct SimReport {
     pub checkpoint_words: u64,
     /// Exceptions taken (braid machine: single-BEU in-order episodes).
     pub exceptions_taken: u64,
-    /// Host wall-clock nanoseconds the timing run took. **Not
-    /// deterministic** — excluded from sweep aggregation and golden files.
+    /// Host wall-clock nanoseconds the timing run took. On the streamed
+    /// full tier this includes producing the trace, which is interleaved
+    /// with timing. **Not deterministic** — excluded from sweep
+    /// aggregation and golden files.
     pub host_nanos: u64,
     /// Total retirement slots offered (`cycles × width`); with
     /// [`SimReport::instructions`] this gives retire-bandwidth utilization.

@@ -21,6 +21,26 @@ pub struct TraceEntry {
     pub taken: bool,
 }
 
+/// A pull-based supplier of the committed stream. The timing engine reads
+/// it through a fetch window of bounded size, refilled in chunks, so a
+/// source that produces entries on demand keeps the full tier's memory
+/// independent of run length.
+pub trait TraceSource {
+    /// Appends up to `max` of the next entries to `out`. Appending none
+    /// means the stream has ended.
+    fn fill(&mut self, out: &mut Vec<TraceEntry>, max: usize);
+}
+
+/// A materialized trace is a source: each fill copies the next entries out
+/// of the slice and advances it.
+impl TraceSource for &[TraceEntry] {
+    fn fill(&mut self, out: &mut Vec<TraceEntry>, max: usize) {
+        let (head, rest) = self.split_at(max.min(self.len()));
+        out.extend_from_slice(head);
+        *self = rest;
+    }
+}
+
 /// A committed dynamic instruction stream.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {

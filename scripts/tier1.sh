@@ -45,6 +45,13 @@ if [ "${err#-}" -gt 50 ]; then
 fi
 echo "sampled smoke OK (full=$full_cycles cycles, sampled est=$est_cycles, err=${err} permille)"
 
+echo "==> bounded-memory smoke (9.2M-instruction nest, full-tier braid under ulimit -v 128 MiB)"
+# The full tier streams its trace through a window-sized slot ring, so
+# memory is set by the configuration, not the run length: this run peaks
+# near 11 MB, while materializing its trace would need over 1 GB.
+( ulimit -v 131072; ./target/release/braidsim braid scripts/data/accum_9m.bl > /dev/null )
+echo "bounded-memory smoke OK"
+
 echo "==> cargo test -q -p braid-analyze"
 cargo test -q -p braid-analyze
 

@@ -64,13 +64,14 @@
 use std::fs;
 use std::process::ExitCode;
 
-use braid::compiler::{translate, TranslatorConfig};
 use braid::core::config::{BraidConfig, DepConfig, InOrderConfig, OooConfig};
-use braid::core::cores::{BraidCore, DepSteerCore, InOrderCore, OooCore};
-use braid::core::functional::Machine;
-use braid::core::processor::{run_tier, CoreConfig, TierReport};
+use braid::core::func::run_func;
+use braid::core::processor::{
+    run_braid_observed, run_braid_with_translation, run_dep, run_dep_observed, run_inorder,
+    run_inorder_observed, run_ooo, run_ooo_observed, run_tier, CoreConfig, RunError, TierReport,
+};
 use braid::core::report::SimReport;
-use braid::core::{SamplingConfig, SimError, Tier};
+use braid::core::{SamplingConfig, Tier};
 use braid::isa::asm::assemble;
 use braid::isa::Program;
 use braid::obs::{check_kanata, metrics_json, report_json, write_kanata, PipelineObserver};
@@ -173,7 +174,7 @@ fn finish_core(
     label: &str,
     core_key: &str,
     program: &Program,
-    result: Result<SimReport, SimError>,
+    result: Result<SimReport, RunError>,
     obs: &PipelineObserver,
     opts: &Options,
 ) -> bool {
@@ -186,8 +187,26 @@ fn finish_core(
             }
             true
         }
-        Err(e) => {
+        Err(RunError::Sim(e)) => {
             eprintln!("braidsim: {label} simulation failed:\n{e}");
+            false
+        }
+        Err(RunError::Exec(e)) => {
+            eprintln!("braidsim: {label} functional run failed: {e}");
+            false
+        }
+        Err(RunError::Translate(e)) => {
+            eprintln!("braidsim: translation failed: {e}");
+            false
+        }
+        // The braid machine refuses contract-violating programs outright;
+        // a corrupted translation must never reach the timing model.
+        Err(RunError::Check(check)) => {
+            eprintln!("braidsim: refusing ill-formed braid program:\n{check}");
+            false
+        }
+        Err(e) => {
+            eprintln!("braidsim: {label} failed: {e}");
             false
         }
     }
@@ -797,15 +816,16 @@ fn main() -> ExitCode {
         return run_tiered(core, &program, fuel, &opts);
     }
 
-    let mut m = Machine::new(&program);
-    let trace = match m.run(&program, fuel) {
-        Ok(t) => t,
+    // Every core streams its own trace, so this pass only counts (and
+    // surfaces an execution error before any core output).
+    let insts = match run_func(&program, fuel) {
+        Ok(r) => r.instructions,
         Err(e) => {
             eprintln!("braidsim: functional run failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    println!("{}: {} dynamic instructions", program.name, trace.len());
+    println!("{}: {} dynamic instructions", program.name, insts);
 
     let perfect = |mut c: braid::core::config::CommonConfig| {
         if opts.perfect {
@@ -818,12 +838,11 @@ fn main() -> ExitCode {
     if want("ooo") {
         let mut cfg = OooConfig::paper_wide(opts.width);
         cfg.common = perfect(cfg.common);
-        let core = OooCore::new(cfg);
         let mut obs = PipelineObserver::new();
         let result = if opts.observe() {
-            core.run_observed(&program, &trace, &mut obs)
+            run_ooo_observed(&program, &cfg, fuel, &mut obs)
         } else {
-            core.run(&program, &trace)
+            run_ooo(&program, &cfg, fuel)
         };
         if !finish_core("out-of-order", "ooo", &program, result, &obs, &opts) {
             return ExitCode::FAILURE;
@@ -832,12 +851,11 @@ fn main() -> ExitCode {
     if want("dep") {
         let mut cfg = DepConfig::paper_wide(opts.width);
         cfg.common = perfect(cfg.common);
-        let core = DepSteerCore::new(cfg);
         let mut obs = PipelineObserver::new();
         let result = if opts.observe() {
-            core.run_observed(&program, &trace, &mut obs)
+            run_dep_observed(&program, &cfg, fuel, &mut obs)
         } else {
-            core.run(&program, &trace)
+            run_dep(&program, &cfg, fuel)
         };
         if !finish_core("dependence-steering", "dep", &program, result, &obs, &opts) {
             return ExitCode::FAILURE;
@@ -846,51 +864,31 @@ fn main() -> ExitCode {
     if want("inorder") {
         let mut cfg = InOrderConfig::paper_wide(opts.width);
         cfg.common = perfect(cfg.common);
-        let core = InOrderCore::new(cfg);
         let mut obs = PipelineObserver::new();
         let result = if opts.observe() {
-            core.run_observed(&program, &trace, &mut obs)
+            run_inorder_observed(&program, &cfg, fuel, &mut obs)
         } else {
-            core.run(&program, &trace)
+            run_inorder(&program, &cfg, fuel)
         };
         if !finish_core("in-order", "inorder", &program, result, &obs, &opts) {
             return ExitCode::FAILURE;
         }
     }
     if want("braid") {
-        let t = match translate(&program, &TranslatorConfig { self_check: false, ..Default::default() }) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("braidsim: translation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // The braid machine refuses contract-violating programs outright;
-        // a corrupted translation must never reach the timing model.
-        let check = t.check(&program, &braid::check::CheckConfig::default());
-        if check.has_errors() {
-            eprintln!("braidsim: refusing ill-formed braid program:\n{check}");
-            return ExitCode::FAILURE;
-        }
-        let mut mb = Machine::new(&t.program);
-        let braid_trace = match mb.run(&t.program, fuel) {
-            Ok(tr) => tr,
-            Err(e) => {
-                eprintln!("braidsim: braid functional run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
         let mut cfg = BraidConfig::paper_wide(opts.width);
         cfg.common = perfect(cfg.common);
         cfg.common.mispredict_penalty = 19;
-        let core = BraidCore::new(cfg);
         let mut obs = PipelineObserver::new();
         let result = if opts.observe() {
-            core.run_observed(&t.program, &braid_trace, &mut obs)
+            run_braid_observed(&program, &cfg, fuel, &mut obs)
         } else {
-            core.run(&t.program, &braid_trace)
+            run_braid_with_translation(&program, &cfg, fuel)
         };
-        if !finish_core("braid", "braid", &t.program, result, &obs, &opts) {
+        let ok = match result {
+            Ok((rep, t)) => finish_core("braid", "braid", &t.program, Ok(rep), &obs, &opts),
+            Err(e) => finish_core("braid", "braid", &program, Err(e), &obs, &opts),
+        };
+        if !ok {
             return ExitCode::FAILURE;
         }
     }

@@ -27,10 +27,10 @@ use std::path::PathBuf;
 use braid::compiler::{translate, TranslatorConfig};
 use braid::core::config::{BraidConfig, DepConfig, InOrderConfig, OooConfig};
 use braid::core::func::{run_func, FastMachine, FuncTable};
-use braid::core::functional::Machine;
+use braid::core::functional::{ExecError, Machine};
 use braid::core::processor::{run_tier, CoreConfig, TierReport};
-use braid::core::{ArchSnapshot, SamplingConfig, Tier};
-use braid::workloads::kernel_suite;
+use braid::core::{ArchSnapshot, SamplingConfig, Tier, TraceEntry};
+use braid::workloads::{kernel_suite, loopnest_suite};
 use braid_prng::Rng;
 
 mod common;
@@ -105,6 +105,78 @@ fn fast_interpreter_matches_reference_on_kernels() {
         let t = translate(&w.program, &TranslatorConfig::default())
             .unwrap_or_else(|e| panic!("{}: translate: {e}", w.name));
         assert_executors_agree(&t.program, &format!("{} (braid)", w.name));
+    }
+}
+
+/// Records `program`'s trace on the fast interpreter in chunks of `chunk`
+/// instructions, the way the streamed full tier pulls it.
+fn record_chunked(
+    program: &braid::isa::Program,
+    fuel: u64,
+    chunk: u64,
+) -> Result<Vec<TraceEntry>, ExecError> {
+    let table = FuncTable::new(program);
+    let mut fast = FastMachine::new(program, &table);
+    let mut out = Vec::new();
+    while !fast.halted() {
+        fast.run_recording_until(fast.executed() + chunk, fuel, &mut out)?;
+    }
+    Ok(out)
+}
+
+/// The trace producer the full tier streams from must record exactly the
+/// golden interpreter's entries (`idx`, `next_idx`, `addr`, `taken`) —
+/// or fail with the same [`ExecError`] — in one pass and in chunks of 1,
+/// 7 and 4096 instructions alike.
+fn assert_producers_agree(program: &braid::isa::Program, fuel: u64, what: &str) {
+    let want = Machine::new(program).run(program, fuel).map(|t| t.entries);
+    let table = FuncTable::new(program);
+    let mut fast = FastMachine::new(program, &table);
+    let mut one_pass = Vec::new();
+    let got = fast.run_recording(fuel, &mut one_pass).map(|()| one_pass);
+    assert!(want == got, "{what}: fast recording diverged from the golden trace");
+    for chunk in [1, 7, 4096] {
+        assert!(
+            record_chunked(program, fuel, chunk) == want,
+            "{what}: recording in chunks of {chunk} diverged from one pass"
+        );
+    }
+}
+
+/// Ring 3a: trace-producer equivalence on the kernels and the `ln_*`
+/// loop nests, original and braid-translated.
+#[test]
+fn fast_recording_matches_golden_trace_on_kernels_and_nests() {
+    let mut suite = kernel_suite();
+    suite.extend(loopnest_suite());
+    for w in suite {
+        assert_producers_agree(&w.program, w.fuel, &w.name);
+        let t = translate(&w.program, &TranslatorConfig::default())
+            .unwrap_or_else(|e| panic!("{}: translate: {e}", w.name));
+        assert_producers_agree(&t.program, w.fuel, &format!("{} (braid)", w.name));
+    }
+}
+
+/// Ring 3b: trace-producer equivalence on the 300 seeded random programs,
+/// before and after translation, plus the two error shapes (fuel running
+/// out, control leaving the program).
+#[test]
+fn fast_recording_matches_golden_trace_on_300_random_programs() {
+    for seed in 0..DIFF_CASES {
+        let mut rng = Rng::seed_from_u64(0xFA57_0000 + seed);
+        let p = gen_program(&mut rng);
+        assert_producers_agree(&p, FUEL, &format!("seed {seed}"));
+        let t = translate(&p, &TranslatorConfig::default())
+            .unwrap_or_else(|e| panic!("seed {seed}: translate: {e}"));
+        assert_producers_agree(&t.program, FUEL, &format!("seed {seed} (braid)"));
+    }
+    for (src, err) in [
+        ("loop: br loop\nhalt", ExecError::OutOfFuel),
+        ("addi r0, #100, r1\nnop\nnop\nnop\nnop\nret r1\nhalt", ExecError::PcOutOfRange(100)),
+    ] {
+        let p = braid::isa::asm::assemble(src).expect("assembles");
+        assert_eq!(record_chunked(&p, 100, 7), Err(err), "{src:?}");
+        assert_producers_agree(&p, 100, src);
     }
 }
 
