@@ -334,17 +334,26 @@ fn writer_loop(stream: &TcpStream, rx: &Receiver<Outgoing>, shared: &Shared, dea
     }
 }
 
+/// Prepares an accepted socket: `TCP_NODELAY`, so a small response goes
+/// out at once instead of waiting for the ACK that rides on the client's
+/// next request, and the read/write timeouts (`0` = none).
+fn configure_socket(stream: &TcpStream, io_timeout_ms: u64) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    if io_timeout_ms > 0 {
+        let t = Some(Duration::from_millis(io_timeout_ms));
+        stream.set_read_timeout(t)?;
+        stream.set_write_timeout(t)?;
+    }
+    Ok(())
+}
+
 /// Reader half of a connection: parse (bounded), shed or stamp, dispatch.
 fn handle_connection(
     stream: TcpStream,
     shared: &Arc<Shared>,
     addr: std::net::SocketAddr,
 ) -> io::Result<()> {
-    if shared.cfg.io_timeout_ms > 0 {
-        let t = Some(Duration::from_millis(shared.cfg.io_timeout_ms));
-        stream.set_read_timeout(t)?;
-        stream.set_write_timeout(t)?;
-    }
+    configure_socket(&stream, shared.cfg.io_timeout_ms)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let (tx, rx) = mpsc::channel::<Outgoing>();
     // The writer observes chaos-severed or broken connections; the reader
@@ -835,6 +844,11 @@ fn tier_payload(workload: &str, tier: Tier, rep: &TierReport) -> Json {
             fields.push(("measured_insts".into(), Json::Int(r.measured_insts)));
             fields.push(("measured_cycles".into(), Json::Int(r.measured_cycles)));
             fields.push(("overhead_cycles".into(), Json::Int(r.overhead_cycles)));
+            // Only sparse runs have one, so fully windowed payloads keep
+            // their bytes.
+            if let Some(ci) = r.ci95_cycles {
+                fields.push(("ci95_cycles".into(), Json::Int(ci)));
+            }
             fields.push(("cpi".into(), braid_obs::cpi_json(&r.cpi)));
         }
     }
@@ -855,4 +869,30 @@ fn translation_json(name: &str, t: &braid_compiler::Translation) -> Json {
         ("ext_inputs_mean".into(), Json::Float(s.ext_inputs.mean())),
         ("ext_outputs_mean".into(), Json::Float(s.ext_outputs.mean())),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_get_nodelay_and_timeouts() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+
+        configure_socket(&server, 250).expect("configure");
+        assert!(server.nodelay().expect("nodelay"));
+        // The kernel stores timeouts in clock ticks, so allow rounding.
+        let near_250ms = |t: Option<Duration>| {
+            t.is_some_and(|t| t.abs_diff(Duration::from_millis(250)) < Duration::from_millis(20))
+        };
+        assert!(near_250ms(server.read_timeout().expect("read timeout")));
+        assert!(near_250ms(server.write_timeout().expect("write timeout")));
+
+        // A zero timeout means none, and Nagle stays off.
+        configure_socket(&client, 0).expect("configure");
+        assert!(client.nodelay().expect("nodelay"));
+        assert_eq!(client.read_timeout().expect("read timeout"), None);
+    }
 }

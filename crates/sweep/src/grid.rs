@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use braid_core::Tier;
+use braid_core::{SamplingConfig, Tier};
 
 /// Which timing core a grid point runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -215,6 +215,12 @@ impl SweepSpec {
                 canon.push_str(t.name());
                 canon.push(',');
             }
+        }
+        // Sampled points depend on the sampling schedule too, so a
+        // snapshot taken under another schedule is refused, not reused.
+        if self.tiers.contains(&Tier::Sampled) {
+            canon.push_str(";sampling=");
+            canon.push_str(&SamplingConfig::default().digest_key());
         }
         crate::digest::hex(canon.as_bytes())
     }

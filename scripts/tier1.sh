@@ -45,6 +45,31 @@ if [ "${err#-}" -gt 50 ]; then
 fi
 echo "sampled smoke OK (full=$full_cycles cycles, sampled est=$est_cycles, err=${err} permille)"
 
+echo "==> long sampled smoke (9.2M-instruction nest on ooo: within 5%, at most 25% timed)"
+# Past the dense phase the sampled tier times one window per period and
+# extrapolates the rest. Every check is on deterministic counts.
+long_full="$(./target/release/braidsim ooo scripts/data/accum_9m.bl --report-json \
+  | sed -n 's/^ *"cycles": \([0-9]*\),*/\1/p' | head -n 1)"
+long_json="$(./target/release/braidsim ooo scripts/data/accum_9m.bl --tier sampled --report-json \
+  | grep '^{')"
+long_est="$(echo "$long_json" | sed -n 's/.*"est_cycles":\([0-9]*\).*/\1/p')"
+long_insts="$(echo "$long_json" | sed -n 's/.*"instructions":\([0-9]*\).*/\1/p')"
+long_timed="$(echo "$long_json" | sed -n 's/.*"timed_insts":\([0-9]*\).*/\1/p')"
+if [ -z "$long_full" ] || [ -z "$long_est" ] || [ -z "$long_insts" ] || [ -z "$long_timed" ]; then
+  echo "long sampled smoke: missing fields (full=$long_full json=$long_json)" >&2
+  exit 1
+fi
+long_err=$(( (long_est - long_full) * 1000 / long_full ))
+if [ "${long_err#-}" -gt 50 ]; then
+  echo "long sampled smoke: estimate off by ${long_err} permille (full=$long_full sampled=$long_est)" >&2
+  exit 1
+fi
+if [ $(( long_timed * 4 )) -gt "$long_insts" ]; then
+  echo "long sampled smoke: $long_timed of $long_insts instructions timed (over 25%)" >&2
+  exit 1
+fi
+echo "long sampled smoke OK (full=$long_full cycles, sampled est=$long_est, err=${long_err} permille, timed $long_timed/$long_insts)"
+
 echo "==> bounded-memory smoke (9.2M-instruction nest, full-tier braid under ulimit -v 128 MiB)"
 # The full tier streams its trace through a window-sized slot ring, so
 # memory is set by the configuration, not the run length: this run peaks

@@ -197,6 +197,37 @@ fn sampled_driver_survives_lockstep_on_every_kernel_and_core() {
     }
 }
 
+/// Ring 2c: a long run that leaves the dense phase. `tests/data/accum_long.bl`
+/// retires ~0.56M instructions (init loop, then the accumulate passes), so
+/// most of it is sampled sparsely and extrapolated: on every core, with
+/// lockstep on, the estimate must stay within 5% of the full tier, time at
+/// most a quarter of the run, and carry a confidence interval.
+#[test]
+fn sparse_sampling_holds_accuracy_on_a_long_nest() {
+    let src = include_str!("data/accum_long.bl");
+    let program = braid::lang::compile("accum_long", src)
+        .unwrap_or_else(|r| panic!("accum_long: {}", r.render_with_source(src)))
+        .program;
+    let sampling = SamplingConfig { lockstep: true, ..SamplingConfig::default() };
+    for core in &paper_cores() {
+        let name = core.name();
+        let run = |tier| {
+            run_tier(&program, core, tier, 10_000_000, &sampling)
+                .unwrap_or_else(|e| panic!("{name}: {tier}: {e}"))
+        };
+        let (TierReport::Full(full), TierReport::Sampled(est)) =
+            (run(Tier::Full), run(Tier::Sampled))
+        else {
+            panic!("{name}: wrong report kinds");
+        };
+        assert_eq!(full.instructions, est.instructions, "{name}: instruction counts");
+        let err = (est.est_ipc() - full.ipc()) / full.ipc();
+        assert!(err.abs() <= 0.05, "{name}: IPC error {:.2}% over 5%", err * 100.0);
+        assert!(est.coverage() <= 0.25, "{name}: {:.1}% timed", est.coverage() * 100.0);
+        assert!(est.ci95_cycles.is_some(), "{name}: no confidence interval");
+    }
+}
+
 /// The functional tier is only worth having if it is much faster than
 /// timing simulation. Aggregated over the whole kernel × core matrix the
 /// speedup is ~25-30×; assert the ≥10× floor with that margin absorbing
