@@ -1,6 +1,6 @@
 //! Machinery shared by all execution-core models.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use braid_isa::{Inst, Program};
 use braid_uarch::cache::{Access, MemoryHierarchy};
@@ -41,10 +41,11 @@ pub struct Slot {
     pub dispatched: bool,
     /// The instruction has left its scheduler/FIFO.
     pub issued: bool,
-    /// Core-specific tag (external register slot, BEU id, FIFO id, ...).
+    /// Core-specific tag (scheduler id, BEU id, FIFO id, ...).
     pub tag: u32,
-    /// Second core-specific tag (register-buffer slot, ...).
-    pub tag2: u32,
+    /// The instruction holds an in-flight register-buffer entry, freed at
+    /// retirement.
+    pub holds_reg: bool,
 }
 
 impl Default for Slot {
@@ -59,17 +60,23 @@ impl Default for Slot {
             dispatched: false,
             issued: false,
             tag: u32::MAX,
-            tag2: u32::MAX,
+            holds_reg: false,
         }
     }
 }
 
 /// Per-cycle bandwidth with reservations into the future (bypass slots,
 /// register-file ports).
+///
+/// Grants are counted in a ring based at the collection horizon: `used[i]`
+/// is cycle `base + i`. Every reservation is at or after the current
+/// cycle, which never falls below the horizon, so the ring spans only the
+/// collected margin plus the furthest reservation ahead.
 #[derive(Debug, Clone)]
 pub struct Bandwidth {
     per_cycle: u32,
-    used: HashMap<u64, u32>,
+    used: VecDeque<u32>,
+    base: u64,
 }
 
 impl Bandwidth {
@@ -80,12 +87,18 @@ impl Bandwidth {
     /// Panics if `per_cycle` is zero.
     pub fn new(per_cycle: u32) -> Bandwidth {
         assert!(per_cycle > 0, "bandwidth must be positive");
-        Bandwidth { per_cycle, used: HashMap::new() }
+        Bandwidth { per_cycle, used: VecDeque::new(), base: 0 }
     }
 
-    /// Reserves one grant in exactly `cycle`; `false` when saturated.
+    /// Reserves one grant in exactly `cycle` (at or after the last
+    /// [`Bandwidth::gc`] horizon); `false` when saturated.
     pub fn try_reserve(&mut self, cycle: u64) -> bool {
-        let u = self.used.entry(cycle).or_insert(0);
+        debug_assert!(cycle >= self.base, "reservation at {cycle} below horizon {}", self.base);
+        let i = cycle.saturating_sub(self.base) as usize;
+        if i >= self.used.len() {
+            self.used.resize(i + 1, 0);
+        }
+        let u = &mut self.used[i];
         let granted = *u < self.per_cycle;
         if granted {
             *u += 1;
@@ -104,17 +117,20 @@ impl Bandwidth {
         c
     }
 
-    /// Drops bookkeeping for cycles before `before`.
+    /// Drops bookkeeping for cycles before `before`, which becomes the
+    /// horizon: later reservations must be at or after it.
     pub fn gc(&mut self, before: u64) {
-        if self.used.len() > 4096 {
-            self.used.retain(|&c, _| c >= before);
+        if before > self.base {
+            let n = (before - self.base).min(self.used.len() as u64) as usize;
+            self.used.drain(..n);
+            self.base = before;
         }
     }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Largest reservation map any [`Bandwidth`] on this thread has held —
+    /// Longest reservation ring any [`Bandwidth`] on this thread has held —
     /// lets tests prove every core collects its ports.
     pub(crate) static PEAK_BOOKED_CYCLES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
@@ -129,7 +145,7 @@ pub fn ring_len(config: &CommonConfig, reach: u64) -> usize {
     (config.window as u64 + 4 * width + width * (reach + 1)).next_power_of_two() as usize
 }
 
-/// A pool of value-buffer entries (the OOO in-flight registers, the braid
+/// A pool of value-buffer entries booked for fixed spans (the braid
 /// external register file) with per-entry release times.
 #[derive(Debug, Clone)]
 pub struct RegPool {
@@ -141,18 +157,6 @@ impl RegPool {
     /// Creates a pool of `n` entries, all free.
     pub fn new(n: u32) -> RegPool {
         RegPool { slots: vec![0; n as usize] }
-    }
-
-    /// Takes a free slot at `cycle`, holding it until released.
-    pub fn try_alloc(&mut self, cycle: u64) -> Option<u32> {
-        let i = self.slots.iter().position(|&t| t <= cycle)?;
-        self.slots[i] = NONE;
-        Some(i as u32)
-    }
-
-    /// Marks `slot` free from `cycle` on.
-    pub fn release(&mut self, slot: u32, cycle: u64) {
-        self.slots[slot as usize] = cycle;
     }
 
     /// Books the earliest available slot at or after `from`, holding it for
@@ -491,7 +495,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             s.avail_at = NONE;
             s.done_at = NONE;
             s.tag = u32::MAX;
-            s.tag2 = u32::MAX;
+            s.holds_reg = false;
         }
         self.replay_until = self.replay_until.max(self.next_dispatch);
         self.next_dispatch = self.head;
@@ -870,7 +874,7 @@ mod tests {
         let s = Slot::default();
         assert!(!s.dispatched && !s.issued);
         assert_eq!(s.tag, u32::MAX);
-        assert_eq!(s.tag2, u32::MAX);
+        assert!(!s.holds_reg);
         assert_eq!(s.avail_at, NONE);
     }
 
@@ -884,6 +888,50 @@ mod tests {
         assert_eq!(b.reserve_first_free(5), 6, "cycle 5 full, 6 has one left");
         assert_eq!(b.reserve_first_free(5), 7);
         b.gc(100);
+        assert!(b.used.is_empty(), "everything before the horizon is dropped");
+    }
+
+    #[test]
+    fn bandwidth_reservation_far_ahead_survives_gc() {
+        let mut b = Bandwidth::new(1);
+        assert!(b.try_reserve(1500));
+        assert_eq!(b.used.len(), 1501);
+        b.gc(1400);
+        assert_eq!(b.used.len(), 101, "only the horizon onwards is kept");
+        assert!(!b.try_reserve(1500), "the far reservation is still booked");
+        assert_eq!(b.reserve_first_free(1500), 1501);
+        b.gc(2000);
+        assert!(b.used.is_empty());
+        assert!(b.try_reserve(1500 + 600));
+    }
+
+    #[test]
+    fn bandwidth_reservation_at_the_horizon() {
+        let mut b = Bandwidth::new(2);
+        assert!(b.try_reserve(10));
+        b.gc(10);
+        assert!(b.try_reserve(10), "the horizon cycle keeps its count");
+        assert!(!b.try_reserve(10));
+        b.gc(11);
+        assert!(b.try_reserve(11));
+        assert!(b.try_reserve(11));
+        assert!(!b.try_reserve(11));
+    }
+
+    #[test]
+    fn bandwidth_ring_is_bounded_by_the_reservation_distance() {
+        // Each cycle books up to `reach` cycles ahead and collects 64
+        // behind, as the cores do: the ring spans the 64 collected cycles,
+        // the current one and `reach` ahead, however long the run.
+        let reach = 300u64;
+        let mut b = Bandwidth::new(2);
+        let mut longest = 0;
+        for cycle in 0..1_000_000u64 {
+            b.reserve_first_free(cycle + cycle * 7919 % (reach - 2));
+            b.gc(cycle.saturating_sub(64));
+            longest = longest.max(b.used.len());
+        }
+        assert!(longest as u64 <= 64 + 1 + reach, "ring grew to {longest}");
     }
 
     #[test]
@@ -906,14 +954,11 @@ mod tests {
     }
 
     #[test]
-    fn regpool_alloc_release() {
+    fn regpool_books_the_earliest_free_slot() {
         let mut p = RegPool::new(2);
-        let a = p.try_alloc(10).unwrap();
-        let b = p.try_alloc(10).unwrap();
-        assert_ne!(a, b);
-        assert!(p.try_alloc(10).is_none());
-        p.release(a, 15);
-        assert!(p.try_alloc(14).is_none(), "not free until cycle 15");
-        assert_eq!(p.try_alloc(15), Some(a));
+        assert_eq!(p.alloc_earliest(10, 5), 10);
+        assert_eq!(p.alloc_earliest(10, 5), 10);
+        assert_eq!(p.alloc_earliest(10, 5), 15, "both slots held until 15");
+        assert_eq!(p.alloc_earliest(30, 5), 30);
     }
 }

@@ -15,7 +15,7 @@ use braid_isa::Program;
 use braid_uarch::cache::MemoryHierarchy;
 
 use crate::config::DepConfig;
-use crate::cores::common::{Bandwidth, Engine, RegPool};
+use crate::cores::common::{Bandwidth, Engine};
 use crate::error::SimError;
 use crate::obs::{NoopObserver, Observer};
 use crate::report::SimReport;
@@ -77,17 +77,16 @@ impl DepSteerCore {
             eng.mem = mem;
         }
         let mut fifos: Vec<VecDeque<u64>> = vec![VecDeque::new(); cfg.fifos as usize];
-        let mut regs = RegPool::new(cfg.regs);
+        // In-flight register-buffer entries held. An entry frees at the
+        // retirement of its holder and is reusable in the same cycle, so a
+        // count is all the buffer needs.
+        let mut regs_held: u32 = 0;
         let mut bypass = Bandwidth::new(cfg.bypass_per_cycle);
         let mut wr_ports = Bandwidth::new(cfg.common.width);
 
         while !eng.finished() {
-            let cyc = eng.cycle;
             eng.retire_phase(|eng, seq| {
-                let slot = eng.slot(seq).tag2;
-                if slot != u32::MAX {
-                    regs.release(slot, cyc);
-                }
+                regs_held -= eng.slot(seq).holds_reg as u32;
             });
 
             // Issue from FIFO heads only.
@@ -142,20 +141,14 @@ impl DepSteerCore {
                     break;
                 };
                 let has_dest = eng.program.insts[f.idx as usize].written_reg().is_some();
-                let reg_slot = if has_dest {
-                    match regs.try_alloc(eng.cycle) {
-                        Some(s) => s,
-                        None => {
-                            eng.report.stall_regs += 1;
-                            break;
-                        }
-                    }
-                } else {
-                    u32::MAX
-                };
+                if has_dest && regs_held >= cfg.regs {
+                    eng.report.stall_regs += 1;
+                    break;
+                }
                 eng.queue.pop_front();
                 let seq = eng.dispatch_slot(&f, target as u32);
-                eng.slot_mut(seq).tag2 = reg_slot;
+                eng.slot_mut(seq).holds_reg = has_dest;
+                regs_held += has_dest as u32;
                 fifos[target].push_back(seq);
                 dispatched += 1;
             }

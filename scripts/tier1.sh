@@ -59,6 +59,12 @@ if [ -z "$long_full" ] || [ -z "$long_est" ] || [ -z "$long_insts" ] || [ -z "$l
   echo "long sampled smoke: missing fields (full=$long_full json=$long_json)" >&2
   exit 1
 fi
+# The exact full-tier count pins the OoO engine on a 9.2M-instruction run
+# (the goldens cover kernels of at most tens of thousands).
+if [ "$long_full" -ne 1268671 ] || [ "$long_insts" -ne 9220006 ]; then
+  echo "long sampled smoke: full tier drifted (cycles=$long_full, want 1268671; insts=$long_insts, want 9220006)" >&2
+  exit 1
+fi
 long_err=$(( (long_est - long_full) * 1000 / long_full ))
 if [ "${long_err#-}" -gt 50 ]; then
   echo "long sampled smoke: estimate off by ${long_err} permille (full=$long_full sampled=$long_est)" >&2
@@ -70,11 +76,13 @@ if [ $(( long_timed * 4 )) -gt "$long_insts" ]; then
 fi
 echo "long sampled smoke OK (full=$long_full cycles, sampled est=$long_est, err=${long_err} permille, timed $long_timed/$long_insts)"
 
-echo "==> bounded-memory smoke (9.2M-instruction nest, full-tier braid under ulimit -v 128 MiB)"
+echo "==> bounded-memory smoke (9.2M-instruction nest, full-tier braid and ooo under ulimit -v 128 MiB)"
 # The full tier streams its trace through a window-sized slot ring, so
-# memory is set by the configuration, not the run length: this run peaks
-# near 11 MB, while materializing its trace would need over 1 GB.
+# memory is set by the configuration, not the run length: each run peaks
+# near 11 MB, while materializing its trace would need over 1 GB. The ooo
+# run also bounds its wakeup lists and port rings by the configuration.
 ( ulimit -v 131072; ./target/release/braidsim braid scripts/data/accum_9m.bl > /dev/null )
+( ulimit -v 131072; ./target/release/braidsim ooo scripts/data/accum_9m.bl > /dev/null )
 echo "bounded-memory smoke OK"
 
 echo "==> cargo test -q -p braid-analyze"
