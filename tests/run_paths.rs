@@ -1,0 +1,131 @@
+//! Golden pins for the two front doors of full-tier timing: the `braidsim`
+//! CLI and braidd's `simulate` request. Both build a paper configuration
+//! for a core at a width (optionally with the perfect front end and
+//! caches) and run it, so these fixtures hold the exact bytes each door
+//! produces on `@dot_product`:
+//!
+//! * `braidsim all @dot_product` stdout at the default width, at
+//!   `--width 4` and with `--perfect`, minus the `host:` lines (host
+//!   throughput is not deterministic);
+//! * the exit code and stderr of `braidsim braid @dot_product --width 0`;
+//! * braidd's response line for every core × `width` {0, 4} × `perfect`
+//!   {false, true}.
+//!
+//! Regenerate after an intentional timing or format change with:
+//!
+//! ```text
+//! BRAID_UPDATE_GOLDEN=1 cargo test --test run_paths
+//! ```
+
+use std::fmt::Write as _;
+use std::fs;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::path::PathBuf;
+use std::process::Command;
+use std::thread;
+
+use braid::serve::server::{Server, ServerConfig};
+
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_paths")
+}
+
+/// Compares `current` with the fixture `name`, or rewrites the fixture
+/// when `BRAID_UPDATE_GOLDEN=1`.
+fn check_golden(name: &str, current: &str) {
+    let path = golden_dir().join(name);
+    if std::env::var("BRAID_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        fs::create_dir_all(golden_dir()).expect("create tests/golden/run_paths");
+        fs::write(&path, current).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        return;
+    }
+    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e}\n(regenerate with BRAID_UPDATE_GOLDEN=1 cargo test --test run_paths)",
+            path.display()
+        )
+    });
+    if golden != current {
+        let changed: Vec<String> = golden
+            .lines()
+            .zip(current.lines())
+            .filter(|(g, c)| g != c)
+            .map(|(g, c)| format!("  golden `{g}`\n  current `{c}`"))
+            .collect();
+        panic!(
+            "{name} drifted ({} vs {} lines):\n{}",
+            golden.lines().count(),
+            current.lines().count(),
+            changed.join("\n")
+        );
+    }
+}
+
+fn braidsim(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_braidsim")).args(args).output().expect("braidsim runs")
+}
+
+/// Stdout of a successful full-tier braidsim run without its `host:`
+/// lines.
+fn full_tier_stdout(args: &[&str]) -> String {
+    let out = braidsim(args);
+    assert!(out.status.success(), "braidsim {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    stdout.lines().filter(|l| !l.trim_start().starts_with("host:")).fold(String::new(), |mut s, l| {
+        s.push_str(l);
+        s.push('\n');
+        s
+    })
+}
+
+#[test]
+fn braidsim_full_tier_output_is_pinned() {
+    check_golden("braidsim_all.golden", &full_tier_stdout(&["all", "@dot_product"]));
+    check_golden("braidsim_all_w4.golden", &full_tier_stdout(&["all", "@dot_product", "--width", "4"]));
+    check_golden("braidsim_all_perfect.golden", &full_tier_stdout(&["all", "@dot_product", "--perfect"]));
+}
+
+#[test]
+fn braidsim_zero_width_is_a_config_failure() {
+    let out = braidsim(&["braid", "@dot_product", "--width", "0"]);
+    let mut current = String::new();
+    let _ = writeln!(current, "exit {}", out.status.code().expect("has exit code"));
+    current.push_str(&String::from_utf8(out.stderr).expect("utf-8 stderr"));
+    check_golden("braidsim_width0.golden", &current);
+}
+
+#[test]
+fn braidd_full_tier_simulate_bytes_are_pinned() {
+    let server =
+        Server::bind(ServerConfig { threads: 2, ..ServerConfig::default() }).expect("bind");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let handle = thread::spawn(move || server.run());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut round_trip = |line: &str| {
+        writeln!(writer, "{line}").expect("send");
+        let mut resp = String::new();
+        assert!(reader.read_line(&mut resp).expect("recv") > 0, "daemon hung up");
+        resp
+    };
+
+    let mut current = String::new();
+    let mut id = 0;
+    for core in ["inorder", "dep", "ooo", "braid"] {
+        for width in [0, 4] {
+            for perfect in [false, true] {
+                id += 1;
+                let resp = round_trip(&format!(
+                    r#"{{"id":{id},"kind":"simulate","workload":"dot_product","core":"{core}","width":{width},"perfect":{perfect}}}"#
+                ));
+                assert!(resp.contains(r#""status":"ok""#), "{core} w{width} p{perfect}: {resp}");
+                current.push_str(&resp);
+            }
+        }
+    }
+    round_trip(r#"{"id":0,"kind":"shutdown"}"#);
+    handle.join().expect("daemon thread").expect("daemon drains");
+    check_golden("braidd_simulate.golden", &current);
+}
