@@ -20,7 +20,7 @@
 
 use braid_check::CheckConfig;
 use braid_compiler::{translate, Translation, TranslatorConfig};
-use braid_core::{run_annotated, trace_program, BraidConfig, CoreConfig, RunError};
+use braid_core::{run_full, trace_program, BraidConfig, CoreConfig, NoopObserver, RunError};
 use braid_isa::Program;
 
 use crate::framework::{self, ExtLiveness};
@@ -229,7 +229,8 @@ pub fn search(
         }
     }
     for &i in &to_simulate {
-        let sim = run_annotated(&candidates[i].translation.program, &core, config.fuel)?;
+        let sim =
+            run_full(&candidates[i].translation.program, &core, config.fuel, &mut NoopObserver)?;
         candidates[i].simulated_cycles = Some(sim.cycles);
     }
 

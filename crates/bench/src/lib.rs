@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod microbench;
 pub mod paper;
 pub mod table;
 

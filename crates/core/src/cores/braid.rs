@@ -59,22 +59,7 @@ impl BraidCore {
     /// [`SimError::Livelock`] (with a BEU FIFO dump) if the pipeline stops
     /// retiring.
     pub fn run(&self, program: &Program, trace: &Trace) -> Result<SimReport, SimError> {
-        self.run_with_exceptions(program, trace, &[], 0)
-    }
-
-    /// Like [`BraidCore::run`], sending pipeline events to `obs` (the
-    /// no-op observer path is identical to [`BraidCore::run`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`BraidCore::run`].
-    pub fn run_observed<O: Observer>(
-        &self,
-        program: &Program,
-        trace: &Trace,
-        obs: &mut O,
-    ) -> Result<SimReport, SimError> {
-        self.run_with_exceptions_observed(program, trace, &[], 0, obs)
+        self.run_inner(program, &mut trace.entries.as_slice(), &[], 0, &mut NoopObserver, None)
     }
 
     /// Simulates `trace`, raising an exception at each dynamic sequence
@@ -93,28 +78,11 @@ impl BraidCore {
         exceptions: &[u64],
         handler_latency: u64,
     ) -> Result<SimReport, SimError> {
-        self.run_with_exceptions_observed(program, trace, exceptions, handler_latency, &mut NoopObserver)
-    }
-
-    /// Like [`BraidCore::run_with_exceptions`], sending pipeline events to
-    /// `obs`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`BraidCore::run`].
-    pub fn run_with_exceptions_observed<O: Observer>(
-        &self,
-        program: &Program,
-        trace: &Trace,
-        exceptions: &[u64],
-        handler_latency: u64,
-        obs: &mut O,
-    ) -> Result<SimReport, SimError> {
         // An exception past the end of the trace can never be raised.
         let exceptions: Vec<u64> =
             exceptions.iter().copied().filter(|&e| (e as usize) < trace.len()).collect();
         let mut source = trace.entries.as_slice();
-        self.run_inner(program, &mut source, &exceptions, handler_latency, obs, None)
+        self.run_inner(program, &mut source, &exceptions, handler_latency, &mut NoopObserver, None)
     }
 
     /// The simulation loop over any [`TraceSource`]: the public entry

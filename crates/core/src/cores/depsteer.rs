@@ -41,22 +41,7 @@ impl DepSteerCore {
     /// [`SimError::Livelock`] (with a FIFO dump) if the pipeline stops
     /// retiring.
     pub fn run(&self, program: &Program, trace: &Trace) -> Result<SimReport, SimError> {
-        self.run_observed(program, trace, &mut NoopObserver)
-    }
-
-    /// Like [`DepSteerCore::run`], sending pipeline events to `obs` (the
-    /// no-op observer path is identical to [`DepSteerCore::run`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`DepSteerCore::run`].
-    pub fn run_observed<O: Observer>(
-        &self,
-        program: &Program,
-        trace: &Trace,
-        obs: &mut O,
-    ) -> Result<SimReport, SimError> {
-        self.run_inner(program, &mut trace.entries.as_slice(), obs, None)
+        self.run_inner(program, &mut trace.entries.as_slice(), &mut NoopObserver, None)
     }
 
     /// The simulation loop over any [`TraceSource`]: the public entry

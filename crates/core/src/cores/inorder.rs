@@ -35,22 +35,7 @@ impl InOrderCore {
     /// [`SimError::Config`] for an impossible machine description,
     /// [`SimError::Livelock`] if the pipeline stops retiring.
     pub fn run(&self, program: &Program, trace: &Trace) -> Result<SimReport, SimError> {
-        self.run_observed(program, trace, &mut NoopObserver)
-    }
-
-    /// Like [`InOrderCore::run`], sending pipeline events to `obs` (the
-    /// no-op observer path is identical to [`InOrderCore::run`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`InOrderCore::run`].
-    pub fn run_observed<O: Observer>(
-        &self,
-        program: &Program,
-        trace: &Trace,
-        obs: &mut O,
-    ) -> Result<SimReport, SimError> {
-        self.run_inner(program, &mut trace.entries.as_slice(), obs, None)
+        self.run_inner(program, &mut trace.entries.as_slice(), &mut NoopObserver, None)
     }
 
     /// The simulation loop over any [`TraceSource`]: the public entry

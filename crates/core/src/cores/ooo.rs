@@ -39,23 +39,7 @@ impl OooCore {
     /// [`SimError::Livelock`] (with a scheduler dump) if the pipeline
     /// stops retiring.
     pub fn run(&self, program: &Program, trace: &Trace) -> Result<SimReport, SimError> {
-        self.run_observed(program, trace, &mut NoopObserver)
-    }
-
-    /// Like [`OooCore::run`], sending pipeline events to `obs`. The core
-    /// monomorphizes over the observer, so the
-    /// [`NoopObserver`]-instantiated path is identical to [`OooCore::run`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`OooCore::run`].
-    pub fn run_observed<O: Observer>(
-        &self,
-        program: &Program,
-        trace: &Trace,
-        obs: &mut O,
-    ) -> Result<SimReport, SimError> {
-        self.run_inner(program, &mut trace.entries.as_slice(), obs, None)
+        self.run_inner(program, &mut trace.entries.as_slice(), &mut NoopObserver, None)
     }
 
     /// The simulation loop over any [`TraceSource`]: the public entry

@@ -20,8 +20,10 @@
 //!   zero-overhead-when-disabled pipeline [`obs::Observer`] trait.
 //! * [`profile`] — dynamic value fanout/lifetime profiling (the paper's §1
 //!   characterization).
-//! * [`processor`] — one-call pipelines combining translation, functional
-//!   execution and timing simulation.
+//! * [`processor`] — the run API: [`run_tier`] (translate when the core
+//!   is braid, then time at any tier), [`run_full`] (full-tier timing of a
+//!   program as given, with an observer), [`translate_checked`] and
+//!   [`trace_program`].
 //! * [`func`] — the fast functional tier (block-batched interpreter over
 //!   the predecode tables) and the sampled-timing driver that extrapolates
 //!   IPC/CPI stacks from timed intervals.
@@ -30,7 +32,8 @@
 //!
 //! ```
 //! use braid_core::config::{BraidConfig, OooConfig};
-//! use braid_core::processor::{run_braid, run_ooo};
+//! use braid_core::processor::{run_tier, CoreConfig};
+//! use braid_core::{SamplingConfig, Tier};
 //! use braid_isa::asm::assemble;
 //!
 //! let program = assemble(
@@ -43,9 +46,13 @@
 //!         halt
 //!     "#,
 //! )?;
-//! let ooo = run_ooo(&program, &OooConfig::paper_8wide(), 10_000)?;
-//! let braid = run_braid(&program, &BraidConfig::paper_default(), 10_000)?;
-//! assert!(braid.ipc() > 0.0 && ooo.ipc() > 0.0);
+//! let sampling = SamplingConfig::default();
+//! let ooo = CoreConfig::Ooo(OooConfig::paper_8wide());
+//! let ooo = run_tier(&program, &ooo, Tier::Full, 10_000, &sampling)?;
+//! // The braid core translates (and vets) the program before timing it.
+//! let braid = CoreConfig::Braid(BraidConfig::paper_default());
+//! let braid = run_tier(&program, &braid, Tier::Full, 10_000, &sampling)?;
+//! assert!(braid.ipc().unwrap() > 0.0 && ooo.ipc().unwrap() > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -74,8 +81,7 @@ pub use func::{
 pub use functional::{ExecError, Machine};
 pub use obs::{CpiStack, NoopObserver, Observer, StallCause};
 pub use processor::{
-    run_annotated, run_braid, run_dep, run_inorder, run_ooo, run_tier, trace_program, CoreConfig,
-    RunError, TierReport,
+    run_full, run_tier, trace_program, translate_checked, CoreConfig, RunError, TierReport,
 };
 pub use report::SimReport;
 pub use trace::{Trace, TraceEntry};

@@ -125,6 +125,18 @@ impl CoreConfig {
         }
     }
 
+    /// Mutable access to the shared pipeline/memory configuration, for
+    /// settings every core kind honours alike (deadline, watchdog,
+    /// perfect hardware).
+    pub fn common_mut(&mut self) -> &mut CommonConfig {
+        match self {
+            CoreConfig::InOrder(c) => &mut c.common,
+            CoreConfig::Dep(c) => &mut c.common,
+            CoreConfig::Ooo(c) => &mut c.common,
+            CoreConfig::Braid(c) => &mut c.common,
+        }
+    }
+
     /// Fetch/dispatch/retire width in instructions per cycle. Retirement
     /// never exceeds this on any core, which makes `ceil(n / width)` a
     /// sound cycle lower bound for an `n`-instruction trace.
@@ -293,8 +305,15 @@ impl TierReport {
 /// Translates `program` into braids and vets the result with the static
 /// braid-contract checker, in debug *and* release builds, so the braid
 /// machine never executes an ill-formed program. The translator's own
-/// debug self-check is turned off to avoid checking twice.
-fn braid_translation(program: &Program) -> Result<Translation, RunError> {
+/// debug self-check is turned off to avoid checking twice. Pass the
+/// returned `program` to [`run_full`] on the braid core to time it while
+/// keeping the translation for braid statistics or observer output.
+///
+/// # Errors
+///
+/// Returns [`RunError::Translate`] when translation fails and
+/// [`RunError::Check`] when the translation violates the braid contract.
+pub fn translate_checked(program: &Program) -> Result<Translation, RunError> {
     let tconfig = TranslatorConfig { self_check: false, ..Default::default() };
     let translation = translate(program, &tconfig)?;
     let report = translation.check(
@@ -305,15 +324,6 @@ fn braid_translation(program: &Program) -> Result<Translation, RunError> {
         return Err(RunError::Check(Box::new(report)));
     }
     Ok(translation)
-}
-
-/// For the braid core: translate and vet `program`, returning the program
-/// the core actually executes. Every other core runs `program` as-is.
-fn tier_program(program: &Program, core: &CoreConfig) -> Result<Option<Program>, RunError> {
-    if !core.is_braid() {
-        return Ok(None);
-    }
-    Ok(Some(braid_translation(program)?.program))
 }
 
 /// Runs `program` on `core` at the requested execution [`Tier`] — the
@@ -333,7 +343,7 @@ pub fn run_tier(
     max_insts: u64,
     sampling: &SamplingConfig,
 ) -> Result<TierReport, RunError> {
-    let translated = tier_program(program, core)?;
+    let translated = if core.is_braid() { Some(translate_checked(program)?.program) } else { None };
     let program = translated.as_ref().unwrap_or(program);
     match tier {
         Tier::Full => Ok(TierReport::Full(run_streamed(program, core, max_insts, &mut NoopObserver)?)),
@@ -417,22 +427,25 @@ fn run_streamed<O: Observer>(
     }
 }
 
-/// Runs an already-prepared program on `core` **as-is** — no translation,
-/// even for the braid core. This is the entry point for callers that
-/// produce their own annotated programs (the `braidc -O` partition search
-/// scores candidate translations through it). On the braid core the
-/// program is still vetted by the static braid-contract checker first, so
-/// the braid machine never executes an ill-formed program; the other
-/// cores ignore annotations entirely.
+/// Full-tier timing of `program` on `core` **as given** — no translation,
+/// even for the braid core — with pipeline events sent to `obs` (pass
+/// [`NoopObserver`] for none; the core monomorphizes over the observer,
+/// so that path costs nothing). Braid-core callers pass a program that is
+/// already annotated: the output of [`translate_checked`], or a candidate
+/// partition of their own (the `braidc -O` search scores its candidates
+/// here). On the braid core the program is vetted by the static
+/// braid-contract checker first, so the braid machine never executes an
+/// ill-formed program; the other cores ignore annotations entirely.
 ///
 /// # Errors
 ///
 /// Propagates functional-execution and timing failures; returns
 /// [`RunError::Check`] when a braid-core program violates the contract.
-pub fn run_annotated(
+pub fn run_full<O: Observer>(
     program: &Program,
     core: &CoreConfig,
     max_insts: u64,
+    obs: &mut O,
 ) -> Result<SimReport, RunError> {
     if let CoreConfig::Braid(c) = core {
         let report = braid_check::check_program(
@@ -443,133 +456,7 @@ pub fn run_annotated(
             return Err(RunError::Check(Box::new(report)));
         }
     }
-    run_streamed(program, core, max_insts, &mut NoopObserver)
-}
-
-/// Runs `program` on the conventional out-of-order machine.
-///
-/// # Errors
-///
-/// Propagates functional-execution and timing failures.
-pub fn run_ooo(program: &Program, config: &OooConfig, max_insts: u64) -> Result<SimReport, RunError> {
-    run_ooo_observed(program, config, max_insts, &mut NoopObserver)
-}
-
-/// Runs `program` on the in-order machine.
-///
-/// # Errors
-///
-/// Propagates functional-execution and timing failures.
-pub fn run_inorder(
-    program: &Program,
-    config: &InOrderConfig,
-    max_insts: u64,
-) -> Result<SimReport, RunError> {
-    run_inorder_observed(program, config, max_insts, &mut NoopObserver)
-}
-
-/// Runs `program` on the dependence-steering machine.
-///
-/// # Errors
-///
-/// Propagates functional-execution and timing failures.
-pub fn run_dep(program: &Program, config: &DepConfig, max_insts: u64) -> Result<SimReport, RunError> {
-    run_dep_observed(program, config, max_insts, &mut NoopObserver)
-}
-
-/// Translates `program` into braids and runs it on the braid machine.
-///
-/// # Errors
-///
-/// Propagates translation, functional-execution and timing failures.
-pub fn run_braid(
-    program: &Program,
-    config: &BraidConfig,
-    max_insts: u64,
-) -> Result<SimReport, RunError> {
-    let (report, _) = run_braid_with_translation(program, config, max_insts)?;
-    Ok(report)
-}
-
-/// Runs `program` on the out-of-order machine with pipeline events sent to
-/// `obs` (see [`crate::obs`]).
-///
-/// # Errors
-///
-/// Propagates functional-execution and timing failures.
-pub fn run_ooo_observed<O: Observer>(
-    program: &Program,
-    config: &OooConfig,
-    max_insts: u64,
-    obs: &mut O,
-) -> Result<SimReport, RunError> {
-    run_streamed(program, &CoreConfig::Ooo(config.clone()), max_insts, obs)
-}
-
-/// Runs `program` on the in-order machine with pipeline events sent to
-/// `obs`.
-///
-/// # Errors
-///
-/// Propagates functional-execution and timing failures.
-pub fn run_inorder_observed<O: Observer>(
-    program: &Program,
-    config: &InOrderConfig,
-    max_insts: u64,
-    obs: &mut O,
-) -> Result<SimReport, RunError> {
-    run_streamed(program, &CoreConfig::InOrder(config.clone()), max_insts, obs)
-}
-
-/// Runs `program` on the dependence-steering machine with pipeline events
-/// sent to `obs`.
-///
-/// # Errors
-///
-/// Propagates functional-execution and timing failures.
-pub fn run_dep_observed<O: Observer>(
-    program: &Program,
-    config: &DepConfig,
-    max_insts: u64,
-    obs: &mut O,
-) -> Result<SimReport, RunError> {
-    run_streamed(program, &CoreConfig::Dep(config.clone()), max_insts, obs)
-}
-
-/// Translates `program` into braids and runs it on the braid machine with
-/// pipeline events sent to `obs`; also returns the translation so callers
-/// can map events back to braid structure.
-///
-/// # Errors
-///
-/// As for [`run_braid_with_translation`].
-pub fn run_braid_observed<O: Observer>(
-    program: &Program,
-    config: &BraidConfig,
-    max_insts: u64,
-    obs: &mut O,
-) -> Result<(SimReport, Translation), RunError> {
-    let translation = braid_translation(program)?;
-    let core = CoreConfig::Braid(config.clone());
-    let report = run_streamed(&translation.program, &core, max_insts, obs)?;
-    Ok((report, translation))
-}
-
-/// Like [`run_braid`] but also returns the translation (for braid
-/// statistics). The translation is vetted by the static braid-contract
-/// checker before any simulation.
-///
-/// # Errors
-///
-/// Propagates translation, functional-execution and timing failures;
-/// returns [`RunError::Check`] when the translation violates the braid
-/// contract.
-pub fn run_braid_with_translation(
-    program: &Program,
-    config: &BraidConfig,
-    max_insts: u64,
-) -> Result<(SimReport, Translation), RunError> {
-    run_braid_observed(program, config, max_insts, &mut NoopObserver)
+    run_streamed(program, core, max_insts, obs)
 }
 
 #[cfg(test)]
@@ -592,14 +479,33 @@ mod tests {
         halt
     "#;
 
+    /// The paper-default configuration of every core, with `edit` applied
+    /// to the shared pipeline settings.
+    fn cores_with(edit: impl Fn(&mut CommonConfig)) -> [CoreConfig; 4] {
+        let mut cores = [
+            CoreConfig::InOrder(InOrderConfig::paper_8wide()),
+            CoreConfig::Dep(DepConfig::paper_8wide()),
+            CoreConfig::Ooo(OooConfig::paper_8wide()),
+            CoreConfig::Braid(BraidConfig::paper_default()),
+        ];
+        for core in &mut cores {
+            edit(core.common_mut());
+        }
+        cores
+    }
+
+    /// A full-tier run through the tier driver.
+    fn full(program: &Program, core: &CoreConfig, fuel: u64) -> Result<SimReport, RunError> {
+        match run_tier(program, core, Tier::Full, fuel, &SamplingConfig::default())? {
+            TierReport::Full(r) => Ok(r),
+            other => panic!("expected a full report, got {other:?}"),
+        }
+    }
+
     #[test]
     fn all_four_cores_run_the_same_workload() {
         let p = assemble(LOOP).unwrap();
-        let fuel = 100_000;
-        let ooo = run_ooo(&p, &OooConfig::paper_8wide(), fuel).unwrap();
-        let io = run_inorder(&p, &InOrderConfig::paper_8wide(), fuel).unwrap();
-        let dep = run_dep(&p, &DepConfig::paper_8wide(), fuel).unwrap();
-        let braid = run_braid(&p, &BraidConfig::paper_default(), fuel).unwrap();
+        let [io, dep, ooo, braid] = cores_with(|_| {}).map(|c| full(&p, &c, 100_000).unwrap());
         for r in [&ooo, &io, &dep, &braid] {
             assert_eq!(r.instructions, ooo.instructions);
         }
@@ -622,60 +528,37 @@ mod tests {
             }
             other => panic!("expected a deadline error, got: {other}"),
         };
-        let mut ooo = OooConfig::paper_8wide();
-        ooo.common.deadline_cycles = deadline;
-        let first = extract(run_ooo(&p, &ooo, fuel).unwrap_err());
-        let again = extract(run_ooo(&p, &ooo, fuel).unwrap_err());
-        assert_eq!(first, again, "deadline aborts must be reproducible");
-
-        let mut io = InOrderConfig::paper_8wide();
-        io.common.deadline_cycles = deadline;
-        extract(run_inorder(&p, &io, fuel).unwrap_err());
-        let mut dep = DepConfig::paper_8wide();
-        dep.common.deadline_cycles = deadline;
-        extract(run_dep(&p, &dep, fuel).unwrap_err());
-        let mut braid = BraidConfig::paper_default();
-        braid.common.deadline_cycles = deadline;
-        extract(run_braid(&p, &braid, fuel).unwrap_err());
+        for core in cores_with(|c| c.deadline_cycles = deadline) {
+            let first = extract(full(&p, &core, fuel).unwrap_err());
+            let again = extract(full(&p, &core, fuel).unwrap_err());
+            assert_eq!(first, again, "{}: deadline aborts must be reproducible", core.name());
+        }
 
         // A deadline past the natural run length never fires.
-        let mut roomy = OooConfig::paper_8wide();
-        roomy.common.deadline_cycles = 10_000_000;
-        assert!(run_ooo(&p, &roomy, fuel).is_ok());
+        for core in cores_with(|c| c.deadline_cycles = 10_000_000) {
+            assert!(full(&p, &core, fuel).is_ok(), "{}", core.name());
+        }
     }
 
     #[test]
     fn out_of_fuel_is_reported() {
         let p = assemble("loop: br loop\nhalt").unwrap();
         assert!(matches!(
-            run_ooo(&p, &OooConfig::paper_8wide(), 100),
+            full(&p, &CoreConfig::Ooo(OooConfig::paper_8wide()), 100),
             Err(RunError::Exec(ExecError::OutOfFuel))
         ));
     }
 
-    /// The paper-default configuration of every core, with `edit` applied
-    /// to the shared pipeline settings.
-    fn cores_with(edit: impl Fn(&mut CommonConfig)) -> [CoreConfig; 4] {
-        let mut io = InOrderConfig::paper_8wide();
-        let mut dep = DepConfig::paper_8wide();
-        let mut ooo = OooConfig::paper_8wide();
-        let mut braid = BraidConfig::paper_default();
-        for common in [&mut io.common, &mut dep.common, &mut ooo.common, &mut braid.common] {
-            edit(common);
-        }
-        [CoreConfig::InOrder(io), CoreConfig::Dep(dep), CoreConfig::Ooo(ooo), CoreConfig::Braid(braid)]
-    }
-
     /// Full-tier runs of `program` on `core` through both entry points:
-    /// the tier driver and the per-core `run_*` function.
+    /// the tier driver and [`run_full`] (on the braid core, fed the
+    /// program [`translate_checked`] produced).
     fn both_entry_points(program: &Program, core: &CoreConfig, fuel: u64) -> [Result<u64, RunError>; 2] {
-        let sampling = SamplingConfig::default();
-        let tiered = run_tier(program, core, Tier::Full, fuel, &sampling).map(|r| r.instructions());
-        let direct = match core {
-            CoreConfig::InOrder(c) => run_inorder(program, c, fuel),
-            CoreConfig::Dep(c) => run_dep(program, c, fuel),
-            CoreConfig::Ooo(c) => run_ooo(program, c, fuel),
-            CoreConfig::Braid(c) => run_braid(program, c, fuel),
+        let tiered = full(program, core, fuel).map(|r| r.instructions);
+        let direct = if core.is_braid() {
+            translate_checked(program)
+                .and_then(|t| run_full(&t.program, core, fuel, &mut NoopObserver))
+        } else {
+            run_full(program, core, fuel, &mut NoopObserver)
         };
         [tiered, direct.map(|r| r.instructions)]
     }
@@ -731,12 +614,7 @@ mod tests {
         let p = assemble(LOOP).unwrap();
         let fuel = 100_000;
         let sampling = SamplingConfig { period: 512, warmup: 32, sample: 128, lockstep: true };
-        for core in [
-            CoreConfig::InOrder(InOrderConfig::paper_8wide()),
-            CoreConfig::Dep(DepConfig::paper_8wide()),
-            CoreConfig::Ooo(OooConfig::paper_8wide()),
-            CoreConfig::Braid(BraidConfig::paper_default()),
-        ] {
+        for core in cores_with(|_| {}) {
             let full = run_tier(&p, &core, Tier::Full, fuel, &sampling).unwrap();
             let func = run_tier(&p, &core, Tier::Func, fuel, &sampling).unwrap();
             let sampled = run_tier(&p, &core, Tier::Sampled, fuel, &sampling).unwrap();

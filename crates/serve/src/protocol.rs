@@ -26,6 +26,7 @@
 use braid_core::{SamplingConfig, Tier};
 use braid_sweep::grid::CoreModel;
 use braid_sweep::json::{self, Json};
+use braid_workloads::MAX_SCALE;
 
 /// A parsed request, minus the `id` (returned alongside by
 /// [`parse_request`]).
@@ -130,6 +131,18 @@ fn opt_f64(obj: &Json, key: &str, default: f64) -> Result<f64, String> {
     match obj.get(key) {
         None => Ok(default),
         Some(v) => v.as_f64().ok_or_else(|| format!("`{key}` must be a number")),
+    }
+}
+
+/// The optional `scale` field (default 0.05), which sizes synthetic
+/// workloads: anything outside `(0, MAX_SCALE]` is rejected here, before
+/// generation could overflow.
+fn opt_scale(obj: &Json) -> Result<f64, String> {
+    let scale = opt_f64(obj, "scale", 0.05)?;
+    if scale > 0.0 && scale <= MAX_SCALE {
+        Ok(scale)
+    } else {
+        Err(format!("`scale` must be in (0, {MAX_SCALE}]"))
     }
 }
 
@@ -254,7 +267,7 @@ pub fn parse_request_traced(line: &str) -> Result<ParsedRequest, ProtocolError> 
                 workload: req_workload(&doc).map_err(fail)?,
                 core: req_core(&doc).map_err(fail)?,
                 width: opt_u32(&doc, "width", 0).map_err(fail)?,
-                scale: opt_f64(&doc, "scale", 0.05).map_err(fail)?,
+                scale: opt_scale(&doc).map_err(fail)?,
                 perfect: opt_bool(&doc, "perfect", false).map_err(fail)?,
                 deadline: opt_u64(&doc, "deadline", 0).map_err(fail)?,
                 tier,
@@ -263,11 +276,11 @@ pub fn parse_request_traced(line: &str) -> Result<ParsedRequest, ProtocolError> 
         }
         "translate" => Request::Translate {
             workload: req_workload(&doc).map_err(fail)?,
-            scale: opt_f64(&doc, "scale", 0.05).map_err(fail)?,
+            scale: opt_scale(&doc).map_err(fail)?,
         },
         "check" => Request::Check {
             workload: req_workload(&doc).map_err(fail)?,
-            scale: opt_f64(&doc, "scale", 0.05).map_err(fail)?,
+            scale: opt_scale(&doc).map_err(fail)?,
         },
         "sweep-point" => Request::SweepPoint {
             point: braid_sweep::GridPoint {
@@ -279,7 +292,7 @@ pub fn parse_request_traced(line: &str) -> Result<ParsedRequest, ProtocolError> 
                 fifo: opt_u32(&doc, "fifo", 0).map_err(fail)?,
                 window: opt_u32(&doc, "window", 0).map_err(fail)?,
                 bypass: opt_u32(&doc, "bypass", 0).map_err(fail)?,
-                scale: opt_f64(&doc, "scale", 0.05).map_err(fail)?,
+                scale: opt_scale(&doc).map_err(fail)?,
                 perfect: opt_bool(&doc, "perfect", false).map_err(fail)?,
                 tier: opt_tier(&doc).map_err(fail)?,
             },
@@ -288,7 +301,7 @@ pub fn parse_request_traced(line: &str) -> Result<ParsedRequest, ProtocolError> 
             workload: req_workload(&doc).map_err(fail)?,
             core: req_core(&doc).map_err(fail)?,
             width: opt_u32(&doc, "width", 0).map_err(fail)?,
-            scale: opt_f64(&doc, "scale", 0.05).map_err(fail)?,
+            scale: opt_scale(&doc).map_err(fail)?,
         },
         "stats" => Request::Stats,
         "metrics" => Request::Metrics,

@@ -76,10 +76,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use braid_core::config::{BraidConfig, DepConfig, InOrderConfig, OooConfig};
-use braid_core::processor::{
-    run_braid, run_dep, run_inorder, run_ooo, run_tier, CoreConfig, RunError, TierReport,
-};
+use braid_core::processor::{run_tier, CoreConfig, RunError, TierReport};
 use braid_core::Tier;
 use braid_obs::report_json;
 use braid_sweep::digest::{hex, ContentDigest};
@@ -580,22 +577,23 @@ fn run_request(shared: &Shared, req: &Request, span: &mut RequestSpan) -> Result
                 return Ok(hit);
             }
             probe(span, false);
-            let payload = if *tier == Tier::Full {
-                let report = simulate(&w, *core, *width, *perfect, deadline)
-                    .map_err(|source| SweepError::Point { key: w.name.clone(), source })?;
-                shared.stats.merge_cpi(&report.cpi);
-                span.add_cycles(report.cycles);
-                report_json(&report).compact()
-            } else {
-                let cfg = tier_core_config(*core, *width, *perfect, deadline);
-                let rep = run_tier(&w.program, &cfg, *tier, w.fuel, sampling)
-                    .map_err(|source| SweepError::Point { key: w.name.clone(), source })?;
-                if let TierReport::Sampled(r) = &rep {
+            let cfg = paper_core(*core, *width, *perfect, deadline);
+            let rep = run_tier(&w.program, &cfg, *tier, w.fuel, sampling)
+                .map_err(|source| SweepError::Point { key: w.name.clone(), source })?;
+            let payload = match &rep {
+                TierReport::Full(r) => {
+                    shared.stats.merge_cpi(&r.cpi);
+                    span.add_cycles(r.cycles);
+                    report_json(r)
+                }
+                TierReport::Sampled(r) => {
                     shared.stats.merge_cpi(&r.cpi);
                     span.add_cycles(r.est_cycles);
+                    tier_payload(&w.name, *tier, &rep)
                 }
-                tier_payload(&w.name, *tier, &rep).compact()
-            };
+                TierReport::Func(_) => tier_payload(&w.name, *tier, &rep),
+            }
+            .compact();
             span.mark(Phase::Execute);
             shared.cache.insert_faulty(key, payload.clone(), shared.disk_fault());
             Ok(payload)
@@ -691,7 +689,7 @@ fn run_request(shared: &Shared, req: &Request, span: &mut RequestSpan) -> Result
             };
             let file = braid_tracein::TraceFile::record(&w.program, w.fuel)
                 .map_err(|e| malformed(&w, format!("trace record failed: {e}")))?;
-            let cfg = tier_core_config(*core, *width, false, shared.cfg.deadline_cycles);
+            let cfg = paper_core(*core, *width, false, shared.cfg.deadline_cycles);
             let report = braid_tracein::replay(&file, &cfg)
                 .map_err(|e| malformed(&w, format!("trace replay failed: {e}")))?;
             shared.stats.merge_cpi(&report.cpi);
@@ -729,93 +727,13 @@ fn run_request(shared: &Shared, req: &Request, span: &mut RequestSpan) -> Result
     }
 }
 
-/// Runs one simulate request: the paper config for `core` at `width`,
-/// with the perfect-hardware switch and the simulated-cycle deadline
-/// applied.
-fn simulate(
-    w: &braid_workloads::Workload,
-    core: CoreModel,
-    width: u32,
-    perfect: bool,
-    deadline: u64,
-) -> Result<braid_core::SimReport, RunError> {
-    match core {
-        CoreModel::InOrder => {
-            let mut cfg =
-                if width > 0 { InOrderConfig::paper_wide(width) } else { InOrderConfig::paper_8wide() };
-            if perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            cfg.common.deadline_cycles = deadline;
-            run_inorder(&w.program, &cfg, w.fuel)
-        }
-        CoreModel::DepSteer => {
-            let mut cfg = if width > 0 { DepConfig::paper_wide(width) } else { DepConfig::paper_8wide() };
-            if perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            cfg.common.deadline_cycles = deadline;
-            run_dep(&w.program, &cfg, w.fuel)
-        }
-        CoreModel::Ooo => {
-            let mut cfg = if width > 0 { OooConfig::paper_wide(width) } else { OooConfig::paper_8wide() };
-            if perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            cfg.common.deadline_cycles = deadline;
-            run_ooo(&w.program, &cfg, w.fuel)
-        }
-        CoreModel::Braid => {
-            let mut cfg =
-                if width > 0 { BraidConfig::paper_wide(width) } else { BraidConfig::paper_default() };
-            if perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            cfg.common.deadline_cycles = deadline;
-            run_braid(&w.program, &cfg, w.fuel)
-        }
-    }
-}
-
-/// Builds the [`CoreConfig`] for a tiered simulate request — the same
-/// paper configuration [`simulate`] applies, wrapped for the tier driver.
-fn tier_core_config(core: CoreModel, width: u32, perfect: bool, deadline: u64) -> CoreConfig {
-    match core {
-        CoreModel::InOrder => {
-            let mut cfg =
-                if width > 0 { InOrderConfig::paper_wide(width) } else { InOrderConfig::paper_8wide() };
-            if perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            cfg.common.deadline_cycles = deadline;
-            CoreConfig::InOrder(cfg)
-        }
-        CoreModel::DepSteer => {
-            let mut cfg = if width > 0 { DepConfig::paper_wide(width) } else { DepConfig::paper_8wide() };
-            if perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            cfg.common.deadline_cycles = deadline;
-            CoreConfig::Dep(cfg)
-        }
-        CoreModel::Ooo => {
-            let mut cfg = if width > 0 { OooConfig::paper_wide(width) } else { OooConfig::paper_8wide() };
-            if perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            cfg.common.deadline_cycles = deadline;
-            CoreConfig::Ooo(cfg)
-        }
-        CoreModel::Braid => {
-            let mut cfg =
-                if width > 0 { BraidConfig::paper_wide(width) } else { BraidConfig::paper_default() };
-            if perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            cfg.common.deadline_cycles = deadline;
-            CoreConfig::Braid(cfg)
-        }
-    }
+/// The paper configuration of `core` at `width` (`0` = the 8-wide paper
+/// default), with the perfect-hardware switch and the simulated-cycle
+/// deadline applied.
+fn paper_core(core: CoreModel, width: u32, perfect: bool, deadline: u64) -> CoreConfig {
+    let mut cfg = core.paper_config(if width > 0 { width } else { 8 }, perfect);
+    cfg.common_mut().deadline_cycles = deadline;
+    cfg
 }
 
 /// Deterministic payload for a non-full-tier simulate. Host wall-clock
@@ -829,10 +747,7 @@ fn tier_payload(workload: &str, tier: Tier, rep: &TierReport) -> Json {
         ("instructions".into(), Json::Int(rep.instructions())),
     ];
     match rep {
-        TierReport::Full(r) => {
-            fields.push(("cycles".into(), Json::Int(r.cycles)));
-            fields.push(("ipc".into(), Json::Float(r.ipc())));
-        }
+        TierReport::Full(_) => unreachable!("full-tier payloads are the whole report"),
         TierReport::Func(r) => {
             fields.push(("digest".into(), Json::Str(format!("{:016x}", r.digest))));
         }

@@ -168,3 +168,57 @@ fn daemon_survives_a_mangled_frame_stream() {
     reader.read_line(&mut resp).expect("shutdown answered");
     handle.join().expect("accept loop").expect("clean exit");
 }
+
+#[test]
+fn scale_is_range_checked_at_every_request_kind() {
+    let kinds = [
+        r#""kind":"simulate","core":"ooo""#,
+        r#""kind":"translate""#,
+        r#""kind":"check""#,
+        r#""kind":"sweep-point","core":"ooo""#,
+        r#""kind":"trace","core":"ooo""#,
+    ];
+    for kind in kinds {
+        let line = |scale: &str| format!(r#"{{"id":3,{kind},"workload":"gcc","scale":{scale}}}"#);
+        assert!(parse_request(&line("1000")).is_ok(), "{kind}: MAX_SCALE is accepted");
+        for scale in ["1e300", "-1", "0", "1000.5"] {
+            let err = parse_request(&line(scale)).expect_err("out-of-range scale");
+            assert_eq!((err.id, err.code), (3, "bad-request"), "{kind} scale {scale}");
+            assert!(err.message.contains("`scale`"), "{kind} scale {scale}: {}", err.message);
+        }
+    }
+}
+
+#[test]
+fn daemon_refuses_extreme_scales_and_keeps_serving() {
+    let server = Server::bind(ServerConfig { threads: 2, ..ServerConfig::default() })
+        .expect("bind ephemeral port");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let handle = thread::spawn(move || server.run());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = BufWriter::new(stream);
+    let mut round_trip = |line: String| {
+        writeln!(writer, "{line}").expect("send");
+        writer.flush().expect("flush");
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("answered");
+        json::parse(resp.trim_end()).expect("response is JSON")
+    };
+
+    for (id, scale) in [(1, "1e300"), (2, "-1"), (3, "0")] {
+        let doc = round_trip(format!(
+            r#"{{"id":{id},"kind":"simulate","workload":"gcc","core":"inorder","scale":{scale}}}"#
+        ));
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"), "scale {scale}");
+        assert_eq!(doc.get("code").and_then(Json::as_str), Some("bad-request"), "scale {scale}");
+    }
+    let doc = round_trip(
+        r#"{"id":4,"kind":"simulate","workload":"gcc","core":"inorder","scale":0.05}"#.into(),
+    );
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
+    assert!(doc.get("result").unwrap().get("cycles").unwrap().as_u64().unwrap() > 0);
+
+    round_trip(r#"{"id":5,"kind":"shutdown"}"#.into());
+    handle.join().expect("accept loop").expect("clean exit");
+}

@@ -3,9 +3,9 @@
 //! trace-ID round-trips into the span log, and chaos-driven cache events.
 //!
 //! Schema tests here are deliberately brittle: the `stats` and `metrics`
-//! key sets are wire contract, consumed by scripts (`tier1.sh`,
-//! `bench_serve.sh`) that grep for exact field names. Renaming a field
-//! must fail a test, not silently break a dashboard.
+//! key sets are wire contract, consumed by scripts (`tier1.sh`) that grep
+//! for exact field names. Renaming a field must fail a test, not silently
+//! break a dashboard.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;

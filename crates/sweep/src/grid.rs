@@ -15,7 +15,8 @@
 
 use std::fmt;
 
-use braid_core::{SamplingConfig, Tier};
+use braid_core::config::{BraidConfig, DepConfig, InOrderConfig, OooConfig};
+use braid_core::{CoreConfig, SamplingConfig, Tier};
 
 /// Which timing core a grid point runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,6 +55,23 @@ impl CoreModel {
             "braid" => Some(CoreModel::Braid),
             _ => None,
         }
+    }
+
+    /// The paper configuration of this core at `width` (the builders'
+    /// `paper_wide`), with the perfect front end and caches of Figure 1
+    /// when `perfect` is set. Width 8 is each core's paper default.
+    pub fn paper_config(self, width: u32, perfect: bool) -> CoreConfig {
+        let mut core = match self {
+            CoreModel::InOrder => CoreConfig::InOrder(InOrderConfig::paper_wide(width)),
+            CoreModel::DepSteer => CoreConfig::Dep(DepConfig::paper_wide(width)),
+            CoreModel::Ooo => CoreConfig::Ooo(OooConfig::paper_wide(width)),
+            CoreModel::Braid => CoreConfig::Braid(BraidConfig::paper_wide(width)),
+        };
+        if perfect {
+            let common = core.common_mut();
+            *common = common.clone().perfect();
+        }
+        core
     }
 }
 
@@ -285,6 +303,19 @@ mod tests {
             assert_eq!(CoreModel::parse(c.name()), Some(c));
         }
         assert_eq!(CoreModel::parse("nonesuch"), None);
+    }
+
+    #[test]
+    fn eight_wide_paper_config_is_the_paper_default() {
+        let defaults = [
+            format!("{:?}", CoreConfig::InOrder(InOrderConfig::paper_8wide())),
+            format!("{:?}", CoreConfig::Dep(DepConfig::paper_8wide())),
+            format!("{:?}", CoreConfig::Ooo(OooConfig::paper_8wide())),
+            format!("{:?}", CoreConfig::Braid(BraidConfig::paper_default())),
+        ];
+        for (core, default) in CoreModel::ALL.into_iter().zip(defaults) {
+            assert_eq!(format!("{:?}", core.paper_config(8, false)), default, "{core}");
+        }
     }
 
     #[test]

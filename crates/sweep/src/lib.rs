@@ -38,7 +38,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use braid_core::config::{BraidConfig, DepConfig, InOrderConfig, OooConfig};
 use braid_core::processor::{run_tier, CoreConfig, RunError, TierReport};
 use braid_core::report::SimReport;
 use braid_core::{CpiStack, SamplingConfig, SimError, StallCause, Tier};
@@ -293,24 +292,6 @@ impl Error for SweepError {
     }
 }
 
-/// Runs an already-annotated program on `core` without re-translating,
-/// returning the same [`PointStats`] shape as [`run_point`]. Used by
-/// `braidc -O` to confirm candidate partitions.
-///
-/// # Errors
-///
-/// Wraps the underlying [`RunError`] (check failure, livelock, out of
-/// fuel) as a [`SweepError::Point`].
-pub fn run_annotated_point(
-    core: &braid_core::CoreConfig,
-    program: &braid_isa::Program,
-    fuel: u64,
-) -> Result<PointStats, SweepError> {
-    braid_core::run_annotated(program, core, fuel)
-        .map(|r| PointStats::from_report(&r))
-        .map_err(|source| SweepError::Point { key: format!("annotated:{}", program.name), source })
-}
-
 /// Runs one grid point to completion.
 ///
 /// # Errors
@@ -368,79 +349,35 @@ pub fn run_point(p: &GridPoint) -> Result<PointStats, SweepError> {
 /// Builds the typed core configuration a grid point describes (knob value
 /// `0` = the model's paper default).
 fn core_config(p: &GridPoint) -> CoreConfig {
-    match p.core {
-        CoreModel::InOrder => {
-            let mut cfg = if p.width > 0 {
-                InOrderConfig::paper_wide(p.width)
-            } else {
-                InOrderConfig::paper_8wide()
-            };
-            if p.perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            if p.window > 0 {
-                cfg.common.window = p.window as usize;
-            }
-            CoreConfig::InOrder(cfg)
-        }
-        CoreModel::DepSteer => {
-            let mut cfg =
-                if p.width > 0 { DepConfig::paper_wide(p.width) } else { DepConfig::paper_8wide() };
-            if p.perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            if p.fifo > 0 {
-                cfg.fifo_entries = p.fifo;
-            }
-            if p.window > 0 {
-                cfg.common.window = p.window as usize;
-            }
-            if p.bypass > 0 {
-                cfg.bypass_per_cycle = p.bypass;
-            }
-            CoreConfig::Dep(cfg)
-        }
-        CoreModel::Ooo => {
-            let mut cfg =
-                if p.width > 0 { OooConfig::paper_wide(p.width) } else { OooConfig::paper_8wide() };
-            if p.perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            if p.fifo > 0 {
-                cfg.sched_entries = p.fifo;
-            }
-            if p.window > 0 {
-                cfg.common.window = p.window as usize;
-            }
-            if p.bypass > 0 {
-                cfg.bypass_per_cycle = p.bypass;
-            }
-            CoreConfig::Ooo(cfg)
-        }
-        CoreModel::Braid => {
-            let mut cfg = if p.width > 0 {
-                BraidConfig::paper_wide(p.width)
-            } else {
-                BraidConfig::paper_default()
-            };
-            if p.perfect {
-                cfg.common = cfg.common.clone().perfect();
-            }
-            if p.beus > 0 {
-                cfg.beus = p.beus;
-            }
-            if p.fifo > 0 {
-                cfg.fifo_entries = p.fifo;
-            }
-            if p.window > 0 {
-                cfg.window_size = p.window;
-            }
-            if p.bypass > 0 {
-                cfg.bypass_per_cycle = p.bypass;
-            }
-            CoreConfig::Braid(cfg)
+    fn knob(field: &mut u32, value: u32) {
+        if value > 0 {
+            *field = value;
         }
     }
+    let mut core = p.core.paper_config(if p.width > 0 { p.width } else { 8 }, p.perfect);
+    // The window axis is the in-flight limit everywhere but on the braid
+    // machine, where it is the BEU scheduling window.
+    if p.window > 0 && !core.is_braid() {
+        core.common_mut().window = p.window as usize;
+    }
+    match &mut core {
+        CoreConfig::Dep(cfg) => {
+            knob(&mut cfg.fifo_entries, p.fifo);
+            knob(&mut cfg.bypass_per_cycle, p.bypass);
+        }
+        CoreConfig::Ooo(cfg) => {
+            knob(&mut cfg.sched_entries, p.fifo);
+            knob(&mut cfg.bypass_per_cycle, p.bypass);
+        }
+        CoreConfig::Braid(cfg) => {
+            knob(&mut cfg.beus, p.beus);
+            knob(&mut cfg.fifo_entries, p.fifo);
+            knob(&mut cfg.window_size, p.window);
+            knob(&mut cfg.bypass_per_cycle, p.bypass);
+        }
+        _ => {}
+    }
+    core
 }
 
 /// Runs a sweep on `threads` workers.

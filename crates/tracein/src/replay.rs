@@ -10,7 +10,7 @@
 //! live run, which keeps replayed and live braid cycle counts identical.
 
 use braid_core::cores::{BraidCore, DepSteerCore, InOrderCore, OooCore};
-use braid_core::processor::CoreConfig;
+use braid_core::processor::{translate_checked, CoreConfig, RunError};
 use braid_core::{Machine, SimReport};
 use braid_sweep::digest::ContentDigest;
 
@@ -33,17 +33,11 @@ pub fn replay(file: &TraceFile, core: &CoreConfig) -> Result<SimReport, ReplayEr
         }
         CoreConfig::Ooo(c) => Ok(OooCore::new(c.clone()).run(&file.program, &file.trace)?),
         CoreConfig::Braid(c) => {
-            let tconfig =
-                braid_compiler::TranslatorConfig { self_check: false, ..Default::default() };
-            let translation = braid_compiler::translate(&file.program, &tconfig)
-                .map_err(ReplayError::Translate)?;
-            let report = translation.check(
-                &file.program,
-                &braid_check::CheckConfig { max_internal_regs: tconfig.max_internal_regs },
-            );
-            if report.has_errors() {
-                return Err(ReplayError::Check(Box::new(report)));
-            }
+            let translation = translate_checked(&file.program).map_err(|e| match e {
+                RunError::Translate(e) => ReplayError::Translate(e),
+                RunError::Check(report) => ReplayError::Check(report),
+                other => unreachable!("translation fails only to translate or check: {other}"),
+            })?;
             let translated = &translation.program;
             let mut m = Machine::new(translated);
             let trace = m.run(translated, file.fuel).map_err(ReplayError::Exec)?;

@@ -49,6 +49,12 @@ pub struct Workload {
     pub fuel: u64,
 }
 
+/// The largest `scale` a service should accept for a synthetic workload:
+/// about 60M dynamic instructions per program. Generation patches its
+/// loop counters into 32-bit immediates and sizes its fuel from the
+/// scaled length, so far larger scales overflow rather than run longer.
+pub const MAX_SCALE: f64 = 1000.0;
+
 /// Generates the full 26-benchmark suite.
 ///
 /// `scale` multiplies each workload's dynamic instruction count (1.0 ≈

@@ -559,6 +559,34 @@ mod tests {
     }
 
     #[test]
+    fn max_scale_keeps_loop_counters_in_range() {
+        for p in PROFILES {
+            let w = generate(p, crate::MAX_SCALE);
+            // The patched `addi r0, #n, counter` immediates.
+            let count = |reg: u8| -> i64 {
+                let imms: Vec<i32> = w
+                    .program
+                    .insts
+                    .iter()
+                    .filter(|i| i.opcode == Opcode::Addi && i.dest == Some(r(reg)))
+                    .filter(|i| i.srcs[0] == Some(r(0)))
+                    .map(|i| i.imm)
+                    .collect();
+                assert_eq!(imms.len(), 1, "{}: one patched counter in r{reg}", p.name);
+                assert!(imms[0] > 0, "{}: r{reg} counter {} wrapped", p.name, imms[0]);
+                i64::from(imms[0])
+            };
+            // No loop body is longer than the program, so the two loops
+            // must run at least target / program-length iterations.
+            let target = (p.dyn_insts as f64 * crate::MAX_SCALE) as i64;
+            let floor = target / w.program.insts.len() as i64;
+            let iters = count(COUNTER) * count(OUTER);
+            assert!(iters >= floor, "{}: {iters} iterations, want >= {floor}", p.name);
+            assert!(w.fuel as i64 >= target, "{}: fuel {} under {target}", p.name, w.fuel);
+        }
+    }
+
+    #[test]
     fn scale_changes_iteration_count_not_code() {
         let small = generate(&PROFILES[3], 0.1);
         let large = generate(&PROFILES[3], 1.0);

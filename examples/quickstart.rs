@@ -7,7 +7,8 @@
 
 use braid::compiler::{translate, TranslatorConfig};
 use braid::core::config::{BraidConfig, DepConfig, InOrderConfig, OooConfig};
-use braid::core::processor::{run_braid, run_dep, run_inorder, run_ooo};
+use braid::core::processor::{run_tier, CoreConfig, RunError, TierReport};
+use braid::core::{SamplingConfig, SimReport, Tier};
 use braid::isa::asm::assemble;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,12 +40,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let translation = translate(&program, &TranslatorConfig::default())?;
     println!("== braid statistics ==\n{}\n", translation.stats);
 
-    // Run the same workload through all four execution-core models.
+    // Run the same workload through all four execution-core models at the
+    // full (cycle-exact) tier; the braid core translates it first.
     let fuel = 1_000_000;
-    let ooo = run_ooo(&program, &OooConfig::paper_8wide(), fuel)?;
-    let braid = run_braid(&program, &BraidConfig::paper_default(), fuel)?;
-    let dep = run_dep(&program, &DepConfig::paper_8wide(), fuel)?;
-    let inorder = run_inorder(&program, &InOrderConfig::paper_8wide(), fuel)?;
+    let sampling = SamplingConfig::default();
+    let run = |core: CoreConfig| -> Result<SimReport, RunError> {
+        match run_tier(&program, &core, Tier::Full, fuel, &sampling)? {
+            TierReport::Full(r) => Ok(r),
+            _ => unreachable!("the full tier returns a full report"),
+        }
+    };
+    let ooo = run(CoreConfig::Ooo(OooConfig::paper_8wide()))?;
+    let braid = run(CoreConfig::Braid(BraidConfig::paper_default()))?;
+    let dep = run(CoreConfig::Dep(DepConfig::paper_8wide()))?;
+    let inorder = run(CoreConfig::InOrder(InOrderConfig::paper_8wide()))?;
 
     println!("== performance (paper Figure 13, one workload) ==");
     println!("out-of-order : IPC {:.3}", ooo.ipc());

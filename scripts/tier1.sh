@@ -11,6 +11,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# braid-perf is a workspace of its own, so the commands above never
+# compile it; build and test it here against the crates it depends on.
+echo "==> cargo test -q --manifest-path braid-perf/Cargo.toml"
+cargo test --offline -q --manifest-path braid-perf/Cargo.toml
+
 echo "==> cargo test -q -p braid-sweep"
 cargo test -q -p braid-sweep
 

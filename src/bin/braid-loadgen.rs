@@ -28,8 +28,7 @@
 //! connections of the concurrent phase): p50/p95/p99 overall and per
 //! request kind. `--percentile P` (0 < P ≤ 100, fractions allowed) adds
 //! one extra quantile line; `--json` replaces the text report with one
-//! machine-readable JSON document on stdout — the format consumed by
-//! `scripts/bench_serve.sh`.
+//! machine-readable JSON document on stdout.
 //!
 //! Exits nonzero on usage errors, transport failures, lost requests, or a
 //! verification mismatch.

@@ -190,13 +190,7 @@ fn load_hotspots(path: &str) -> Result<(String, Vec<(u32, String)>), String> {
 
 /// The paper's four core models at their default 8-wide configurations.
 fn paper_cores() -> Vec<braid::core::CoreConfig> {
-    use braid::core::CoreConfig;
-    vec![
-        CoreConfig::InOrder(braid::core::InOrderConfig::paper_8wide()),
-        CoreConfig::Dep(braid::core::DepConfig::paper_8wide()),
-        CoreConfig::Ooo(braid::core::OooConfig::paper_8wide()),
-        CoreConfig::Braid(braid::core::BraidConfig::paper_default()),
-    ]
+    braid::sweep::CoreModel::ALL.iter().map(|m| m.paper_config(8, false)).collect()
 }
 
 fn main() -> ExitCode {
@@ -328,7 +322,8 @@ fn main() -> ExitCode {
                 let sampling = SamplingConfig::default();
                 for core in &cores {
                     let sim = if core.is_braid() && braid::analyze::is_annotated(&program) {
-                        braid::core::run_annotated(&program, core, config.fuel).map(|r| r.cycles)
+                        braid::core::run_full(&program, core, config.fuel, &mut braid::core::NoopObserver)
+                            .map(|r| r.cycles)
                     } else {
                         run_tier(&program, core, Tier::Full, config.fuel, &sampling).map(|r| {
                             match r {

@@ -70,17 +70,14 @@
 use std::fs;
 use std::process::ExitCode;
 
-use braid::core::config::{BraidConfig, DepConfig, InOrderConfig, OooConfig};
 use braid::core::func::run_func;
-use braid::core::processor::{
-    run_braid_observed, run_braid_with_translation, run_dep, run_dep_observed, run_inorder,
-    run_inorder_observed, run_ooo, run_ooo_observed, run_tier, CoreConfig, RunError, TierReport,
-};
+use braid::core::processor::{run_full, run_tier, translate_checked, CoreConfig, RunError, TierReport};
 use braid::core::report::SimReport;
-use braid::core::{SamplingConfig, Tier};
+use braid::core::{NoopObserver, SamplingConfig, Tier};
 use braid::isa::asm::assemble;
 use braid::isa::Program;
 use braid::obs::{check_kanata, metrics_json, report_json, write_kanata, PipelineObserver};
+use braid::sweep::CoreModel;
 
 struct Options {
     width: u32,
@@ -392,21 +389,9 @@ fn run_trace_replay(args: &[String]) -> ExitCode {
         file.trace.len(),
         file.fuel
     );
-    let opts = Options {
-        width,
-        perfect: false,
-        fuel: 0,
-        tier: Tier::Full,
-        sampling: SamplingConfig::default(),
-        report_json: false,
-        cpi_stack: false,
-        pipeview: None,
-        metrics: None,
-        source: false,
-    };
     let mut cores = Vec::new();
     for name in &core_names {
-        match tier_core_config(name, &opts) {
+        match paper_core(name, width, false) {
             Some(c) => cores.push(c),
             None => {
                 eprintln!("braidsim: trace-replay: unknown core {name:?}");
@@ -605,40 +590,11 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Builds the tier driver's core selection, mirroring the full-tier
-/// per-core configuration exactly (width, perfect, and the braid
-/// machine's CLI mispredict penalty).
-fn tier_core_config(name: &str, opts: &Options) -> Option<CoreConfig> {
-    let perfect = |mut c: braid::core::config::CommonConfig| {
-        if opts.perfect {
-            c = c.perfect();
-        }
-        c
-    };
-    Some(match name {
-        "ooo" => {
-            let mut cfg = OooConfig::paper_wide(opts.width);
-            cfg.common = perfect(cfg.common);
-            CoreConfig::Ooo(cfg)
-        }
-        "dep" => {
-            let mut cfg = DepConfig::paper_wide(opts.width);
-            cfg.common = perfect(cfg.common);
-            CoreConfig::Dep(cfg)
-        }
-        "inorder" => {
-            let mut cfg = InOrderConfig::paper_wide(opts.width);
-            cfg.common = perfect(cfg.common);
-            CoreConfig::InOrder(cfg)
-        }
-        "braid" => {
-            let mut cfg = BraidConfig::paper_wide(opts.width);
-            cfg.common = perfect(cfg.common);
-            cfg.common.mispredict_penalty = 19;
-            CoreConfig::Braid(cfg)
-        }
-        _ => return None,
-    })
+/// The paper configuration of the core the CLI calls `name` (exactly a
+/// [`CoreModel::name`], never a parse alias) at `width`.
+fn paper_core(name: &str, width: u32, perfect: bool) -> Option<CoreConfig> {
+    let model = CoreModel::ALL.into_iter().find(|m| m.name() == name)?;
+    Some(model.paper_config(width, perfect))
 }
 
 /// Deterministic JSON for a tiered report (host wall-clock excluded, IPC
@@ -698,7 +654,7 @@ fn run_tiered(core: &str, program: &Program, fuel: u64, opts: &Options) -> ExitC
         names
     };
     for name in names {
-        let Some(cfg) = tier_core_config(name, opts) else {
+        let Some(cfg) = paper_core(name, opts.width, opts.perfect) else {
             return usage();
         };
         match run_tier(program, &cfg, opts.tier, fuel, &opts.sampling) {
@@ -855,66 +811,31 @@ fn main() -> ExitCode {
     };
     println!("{}: {} dynamic instructions", program.name, insts);
 
-    let perfect = |mut c: braid::core::config::CommonConfig| {
-        if opts.perfect {
-            c = c.perfect();
+    let cores = [
+        (CoreModel::Ooo, "out-of-order"),
+        (CoreModel::DepSteer, "dependence-steering"),
+        (CoreModel::InOrder, "in-order"),
+        (CoreModel::Braid, "braid"),
+    ];
+    for (model, label) in cores {
+        if core != model.name() && core != "all" {
+            continue;
         }
-        c
-    };
-    let want = |name: &str| core == name || core == "all";
-
-    if want("ooo") {
-        let mut cfg = OooConfig::paper_wide(opts.width);
-        cfg.common = perfect(cfg.common);
+        let cfg = model.paper_config(opts.width, opts.perfect);
         let mut obs = PipelineObserver::new();
-        let result = if opts.observe() {
-            run_ooo_observed(&program, &cfg, fuel, &mut obs)
-        } else {
-            run_ooo(&program, &cfg, fuel)
-        };
-        if !finish_core("out-of-order", "ooo", &program, result, &obs, &opts) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if want("dep") {
-        let mut cfg = DepConfig::paper_wide(opts.width);
-        cfg.common = perfect(cfg.common);
-        let mut obs = PipelineObserver::new();
-        let result = if opts.observe() {
-            run_dep_observed(&program, &cfg, fuel, &mut obs)
-        } else {
-            run_dep(&program, &cfg, fuel)
-        };
-        if !finish_core("dependence-steering", "dep", &program, result, &obs, &opts) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if want("inorder") {
-        let mut cfg = InOrderConfig::paper_wide(opts.width);
-        cfg.common = perfect(cfg.common);
-        let mut obs = PipelineObserver::new();
-        let result = if opts.observe() {
-            run_inorder_observed(&program, &cfg, fuel, &mut obs)
-        } else {
-            run_inorder(&program, &cfg, fuel)
-        };
-        if !finish_core("in-order", "inorder", &program, result, &obs, &opts) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if want("braid") {
-        let mut cfg = BraidConfig::paper_wide(opts.width);
-        cfg.common = perfect(cfg.common);
-        cfg.common.mispredict_penalty = 19;
-        let mut obs = PipelineObserver::new();
-        let result = if opts.observe() {
-            run_braid_observed(&program, &cfg, fuel, &mut obs)
-        } else {
-            run_braid_with_translation(&program, &cfg, fuel)
-        };
-        let ok = match result {
-            Ok((rep, t)) => finish_core("braid", "braid", &t.program, Ok(rep), &obs, &opts),
-            Err(e) => finish_core("braid", "braid", &program, Err(e), &obs, &opts),
+        // The braid core times the translated program, and the pipeline
+        // view and metrics must resolve against that program too.
+        let ok = match cfg.is_braid().then(|| translate_checked(&program)).transpose() {
+            Err(e) => finish_core(label, model.name(), &program, Err(e), &obs, &opts),
+            Ok(translation) => {
+                let ran = translation.as_ref().map_or(&program, |t| &t.program);
+                let result = if opts.observe() {
+                    run_full(ran, &cfg, fuel, &mut obs)
+                } else {
+                    run_full(ran, &cfg, fuel, &mut NoopObserver)
+                };
+                finish_core(label, model.name(), ran, result, &obs, &opts)
+            }
         };
         if !ok {
             return ExitCode::FAILURE;

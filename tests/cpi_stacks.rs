@@ -28,6 +28,7 @@ use braid::compiler::{translate, TranslatorConfig};
 use braid::core::config::{BraidConfig, DepConfig, InOrderConfig, OooConfig};
 use braid::core::cores::{BraidCore, DepSteerCore, InOrderCore, OooCore};
 use braid::core::functional::Machine;
+use braid::core::processor::{run_full, CoreConfig};
 use braid::core::report::SimReport;
 use braid::core::StallCause;
 use braid::isa::{AliasClass, Inst, Opcode, Program, Reg};
@@ -232,6 +233,8 @@ fn gen_program(rng: &mut Rng) -> Program {
 /// observed and unobserved runs must agree byte-for-byte on the
 /// deterministic report rendering (which covers cycles, every stall
 /// counter and the full CPI stack — everything except host wall-clock).
+/// The unobserved run times a materialized trace; the observed one goes
+/// through `run_full`, which streams its own.
 #[test]
 fn observer_on_and_off_agree_for_200_cases() {
     const SEEDS: u64 = 50;
@@ -245,52 +248,33 @@ fn observer_on_and_off_agree_for_200_cases() {
         let mut mb = Machine::new(&t.program);
         let braid_trace = mb.run(&t.program, FUEL).expect("runs");
 
-        let check = |label: &str, plain: SimReport, observed: SimReport, retired: u64| {
+        let check = |program: &Program, plain: SimReport, core: CoreConfig| {
+            let label = core.name();
+            let mut obs = PipelineObserver::new();
+            let observed = run_full(program, &core, FUEL, &mut obs).expect("runs");
             assert_eq!(
                 report_json(&plain).to_string(),
                 report_json(&observed).to_string(),
                 "seed {seed}/{label}: observer changed the simulation"
             );
             assert_eq!(
-                retired, observed.instructions,
+                obs.retired_count(),
+                observed.instructions,
                 "seed {seed}/{label}: every retired instruction gets one retired record"
             );
         };
 
-        let io = InOrderCore::new(InOrderConfig::paper_8wide());
-        let mut obs = PipelineObserver::new();
+        let io = InOrderConfig::paper_8wide();
+        check(&p, InOrderCore::new(io.clone()).run(&p, &trace).expect("runs"), CoreConfig::InOrder(io));
+        let dep = DepConfig::paper_8wide();
+        check(&p, DepSteerCore::new(dep.clone()).run(&p, &trace).expect("runs"), CoreConfig::Dep(dep));
+        let ooo = OooConfig::paper_8wide();
+        check(&p, OooCore::new(ooo.clone()).run(&p, &trace).expect("runs"), CoreConfig::Ooo(ooo));
+        let braid = BraidConfig::paper_default();
         check(
-            "inorder",
-            io.run(&p, &trace).expect("runs"),
-            io.run_observed(&p, &trace, &mut obs).expect("runs"),
-            obs.retired_count(),
-        );
-
-        let dep = DepSteerCore::new(DepConfig::paper_8wide());
-        let mut obs = PipelineObserver::new();
-        check(
-            "dep",
-            dep.run(&p, &trace).expect("runs"),
-            dep.run_observed(&p, &trace, &mut obs).expect("runs"),
-            obs.retired_count(),
-        );
-
-        let ooo = OooCore::new(OooConfig::paper_8wide());
-        let mut obs = PipelineObserver::new();
-        check(
-            "ooo",
-            ooo.run(&p, &trace).expect("runs"),
-            ooo.run_observed(&p, &trace, &mut obs).expect("runs"),
-            obs.retired_count(),
-        );
-
-        let braid = BraidCore::new(BraidConfig::paper_default());
-        let mut obs = PipelineObserver::new();
-        check(
-            "braid",
-            braid.run(&t.program, &braid_trace).expect("runs"),
-            braid.run_observed(&t.program, &braid_trace, &mut obs).expect("runs"),
-            obs.retired_count(),
+            &t.program,
+            BraidCore::new(braid.clone()).run(&t.program, &braid_trace).expect("runs"),
+            CoreConfig::Braid(braid),
         );
     }
 }

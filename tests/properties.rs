@@ -304,21 +304,33 @@ mod memory_properties {
     }
 }
 
-/// The one-call pipelines return typed `RunError`s — never panic — on
-/// malformed or degenerate inputs.
+/// The run API returns typed `RunError`s — never panics — on malformed or
+/// degenerate inputs.
 mod run_error_properties {
     use braid::core::config::{BraidConfig, OooConfig};
-    use braid::core::processor::{run_braid, run_braid_with_translation, run_ooo, RunError};
+    use braid::core::processor::{run_full, run_tier, CoreConfig, RunError, TierReport};
+    use braid::core::{NoopObserver, SamplingConfig, SimReport, Tier};
     use braid::isa::{Inst, Program};
+
+    fn full(p: &Program, core: CoreConfig) -> Result<SimReport, RunError> {
+        match run_tier(p, &core, Tier::Full, 1_000, &SamplingConfig::default())? {
+            TierReport::Full(r) => Ok(r),
+            other => panic!("expected a full report, got {other:?}"),
+        }
+    }
+
+    fn ooo(p: &Program, cfg: OooConfig) -> Result<SimReport, RunError> {
+        run_full(p, &CoreConfig::Ooo(cfg), 1_000, &mut NoopObserver)
+    }
 
     #[test]
     fn empty_program_is_a_typed_error() {
         let p = Program::from_insts("empty", vec![]);
-        match run_ooo(&p, &OooConfig::paper_8wide(), 1_000) {
+        match ooo(&p, OooConfig::paper_8wide()) {
             Err(RunError::Exec(_)) => {}
             other => panic!("expected typed exec error, got {other:?}"),
         }
-        match run_braid_with_translation(&p, &BraidConfig::paper_default(), 1_000) {
+        match full(&p, CoreConfig::Braid(BraidConfig::paper_default())) {
             Err(_) => {}
             Ok(_) => panic!("empty program must not simulate"),
         }
@@ -327,7 +339,7 @@ mod run_error_properties {
     #[test]
     fn missing_halt_is_a_typed_error() {
         let p = Program::from_insts("no-halt", vec![Inst::nop(), Inst::nop()]);
-        match run_braid(&p, &BraidConfig::paper_default(), 1_000) {
+        match full(&p, CoreConfig::Braid(BraidConfig::paper_default())) {
             Err(RunError::Exec(_) | RunError::Translate(_)) => {}
             other => panic!("expected typed error, got {other:?}"),
         }
@@ -338,7 +350,7 @@ mod run_error_properties {
         let mut br = Inst::br(1_000_000);
         br.braid = braid::isa::BraidBits::unannotated(false);
         let p = Program::from_insts("wild-branch", vec![br, Inst::halt()]);
-        match run_ooo(&p, &OooConfig::paper_8wide(), 1_000) {
+        match ooo(&p, OooConfig::paper_8wide()) {
             Err(RunError::Exec(_)) => {}
             other => panic!("expected typed exec error, got {other:?}"),
         }
@@ -349,7 +361,7 @@ mod run_error_properties {
         let p = braid::isa::asm::assemble("addi r0, #1, r1\nhalt").unwrap();
         let mut cfg = OooConfig::paper_8wide();
         cfg.schedulers = 0;
-        match run_ooo(&p, &cfg, 1_000) {
+        match ooo(&p, cfg) {
             Err(RunError::Sim(_)) => {}
             other => panic!("expected typed sim error, got {other:?}"),
         }
