@@ -104,10 +104,7 @@ impl BraidCore {
         // `inter_cluster_delay` cycles after the producer retired.
         let clusters = cfg.clusters.max(1);
         let reach = if clusters > 1 { cfg.inter_cluster_delay } else { 0 };
-        let mut eng = Engine::new(program, source, &cfg.common, reach, obs);
-        if let Some(mem) = warm {
-            eng.mem = mem;
-        }
+        let mut eng = Engine::new(program, source, &cfg.common, reach, obs, warm);
         let mut fifos: Vec<VecDeque<u64>> = vec![VecDeque::new(); cfg.beus as usize];
         let mut ext_pool = RegPool::new(cfg.external_regs);
         let mut bypass = Bandwidth::new(cfg.bypass_per_cycle);

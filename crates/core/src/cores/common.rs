@@ -274,13 +274,15 @@ impl<'a, O: Observer> Engine<'a, O> {
     /// Builds the frame for the committed stream of `program` that `source`
     /// supplies, under `config`, sending pipeline events to `obs`. `reach`
     /// is how many cycles after retirement the core may still read a
-    /// producer's slot (see [`ring_len`]).
+    /// producer's slot (see [`ring_len`]). `warm`, when given, stands in
+    /// for the cold caches (a sampled window's warmed checkpoint).
     pub fn new(
         program: &'a Program,
         source: &'a mut dyn TraceSource,
         config: &CommonConfig,
         reach: u64,
         obs: &'a mut O,
+        warm: Option<MemoryHierarchy>,
     ) -> Engine<'a, O> {
         // Started before the front end pulls its first chunk, so host time
         // covers trace production as well as timing.
@@ -290,7 +292,7 @@ impl<'a, O: Observer> Engine<'a, O> {
             program,
             code: PreDecoded::new(program),
             frontend: Frontend::new(program, source, config),
-            mem: MemoryHierarchy::new(config.mem),
+            mem: warm.unwrap_or_else(|| MemoryHierarchy::new(config.mem)),
             lsq: {
                 let mut lsq = LoadStoreQueue::new(config.lsq_entries);
                 lsq.set_conservative(config.conservative_disambiguation);
@@ -944,7 +946,7 @@ mod tests {
             let entries = vec![nop; n];
             let mut source = entries.as_slice();
             let mut obs = NoopObserver;
-            let eng = Engine::new(&program, &mut source, &config, 4, &mut obs);
+            let eng = Engine::new(&program, &mut source, &config, 4, &mut obs, None);
             eng.slots.len()
         };
         assert_eq!(ring(10), ring(100_000));

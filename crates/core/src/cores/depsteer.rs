@@ -57,10 +57,7 @@ impl DepSteerCore {
     ) -> Result<SimReport, SimError> {
         let cfg = &self.config;
         cfg.validate()?;
-        let mut eng = Engine::new(program, source, &cfg.common, 0, obs);
-        if let Some(mem) = warm {
-            eng.mem = mem;
-        }
+        let mut eng = Engine::new(program, source, &cfg.common, 0, obs, warm);
         let mut fifos: Vec<VecDeque<u64>> = vec![VecDeque::new(); cfg.fifos as usize];
         // In-flight register-buffer entries held. An entry frees at the
         // retirement of its holder and is reusable in the same cycle, so a

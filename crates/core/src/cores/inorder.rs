@@ -51,10 +51,7 @@ impl InOrderCore {
     ) -> Result<SimReport, SimError> {
         let cfg = &self.config;
         cfg.validate()?;
-        let mut eng = Engine::new(program, source, &cfg.common, 0, obs);
-        if let Some(mem) = warm {
-            eng.mem = mem;
-        }
+        let mut eng = Engine::new(program, source, &cfg.common, 0, obs, warm);
         let mut queue: VecDeque<u64> = VecDeque::new();
 
         while !eng.finished() {

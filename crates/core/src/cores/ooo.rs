@@ -55,10 +55,7 @@ impl OooCore {
     ) -> Result<SimReport, SimError> {
         let cfg = &self.config;
         cfg.validate()?;
-        let mut eng = Engine::new(program, source, &cfg.common, 0, obs);
-        if let Some(mem) = warm {
-            eng.mem = mem;
-        }
+        let mut eng = Engine::new(program, source, &cfg.common, 0, obs, warm);
         // Entries per scheduler; each entry's scheduler is its slot tag.
         let mut occupancy: Vec<u32> = vec![0; cfg.schedulers as usize];
         // In-flight register-buffer entries held. An entry frees at the

@@ -75,8 +75,7 @@ pub mod trace;
 pub use config::{BraidConfig, CommonConfig, DepConfig, InOrderConfig, OooConfig};
 pub use error::{LivelockReport, SimError};
 pub use func::{
-    ArchSnapshot, FastMachine, FuncReport, FuncTable, SampleError, SampledReport, SamplingConfig,
-    Tier,
+    ArchSnapshot, FastMachine, FuncReport, FuncTable, SampledReport, SamplingConfig, Tier,
 };
 pub use functional::{ExecError, Machine};
 pub use obs::{CpiStack, NoopObserver, Observer, StallCause};

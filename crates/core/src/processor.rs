@@ -5,18 +5,15 @@ use std::fmt;
 
 use braid_compiler::{translate, TranslateError, Translation, TranslatorConfig};
 use braid_isa::Program;
-use braid_uarch::cache::{Access, MemoryHierarchy};
+use braid_uarch::cache::MemoryHierarchy;
 
 use crate::config::{BraidConfig, CommonConfig, DepConfig, InOrderConfig, OooConfig};
 use crate::cores::{BraidCore, DepSteerCore, InOrderCore, OooCore};
-use crate::frontend::{INST_BYTES, TEXT_BASE};
 use crate::func::{
-    run_func, run_sampled_with, FastMachine, FuncReport, FuncTable, SampleError, SampleTiming,
-    SampledReport, SamplingConfig, Tier,
+    run_func, run_sampled, FastMachine, FuncReport, FuncTable, SampledReport, SamplingConfig, Tier,
 };
 use crate::functional::{ExecError, Machine};
 use crate::obs::{NoopObserver, Observer};
-use crate::predecode::DecodedOp;
 use crate::report::SimReport;
 use crate::trace::{Trace, TraceEntry, TraceSource};
 
@@ -75,15 +72,6 @@ impl From<crate::error::SimError> for RunError {
     }
 }
 
-impl From<SampleError> for RunError {
-    fn from(e: SampleError) -> RunError {
-        match e {
-            SampleError::Exec(e) => RunError::Exec(e),
-            SampleError::Sim(e) => RunError::Sim(e),
-        }
-    }
-}
-
 /// One of the four timing cores with its configuration — the unit the
 /// tier driver dispatches over.
 #[derive(Debug, Clone)]
@@ -116,7 +104,7 @@ impl CoreConfig {
     }
 
     /// The pipeline/memory configuration shared by every core kind.
-    fn common(&self) -> &CommonConfig {
+    pub(crate) fn common(&self) -> &CommonConfig {
         match self {
             CoreConfig::InOrder(c) => &c.common,
             CoreConfig::Dep(c) => &c.common,
@@ -199,7 +187,7 @@ impl CoreConfig {
     /// seeded with the pre-warmed memory hierarchy `warm` when given (the
     /// warm-up subtraction of sampling relies on every window starting
     /// from identical pipeline state).
-    fn run_source<O: Observer>(
+    pub(crate) fn run_source<O: Observer>(
         &self,
         program: &Program,
         source: &mut dyn TraceSource,
@@ -214,49 +202,6 @@ impl CoreConfig {
                 BraidCore::new(c.clone()).run_inner(program, source, &[], 0, obs, warm)
             }
         }
-    }
-}
-
-/// SMARTS-style functional warming for the sampled tier: every functionally
-/// executed instruction (timed windows and fast-forwarded spans alike)
-/// touches a persistent memory hierarchy — I-side at the instruction's
-/// fetch address, D-side at the effective address — and each timed window
-/// replays on a core seeded with the clone checkpointed at its interval
-/// start. Without this, every window would replay on cold caches and
-/// re-pay main-memory latency for lines a continuous run keeps resident,
-/// inflating the estimate by tens of percent on cache-friendly kernels.
-struct WarmedTiming<'a> {
-    core: &'a CoreConfig,
-    program: &'a Program,
-    warm: MemoryHierarchy,
-    checkpoint: MemoryHierarchy,
-}
-
-impl<'a> WarmedTiming<'a> {
-    fn new(core: &'a CoreConfig, program: &'a Program) -> WarmedTiming<'a> {
-        let mem = MemoryHierarchy::new(core.common().mem);
-        WarmedTiming { core, program, checkpoint: mem.clone(), warm: mem }
-    }
-}
-
-impl SampleTiming for WarmedTiming<'_> {
-    fn observe(&mut self, idx: u32, op: &DecodedOp, addr: u64) {
-        self.warm.warm(Access::Fetch, TEXT_BASE + idx as u64 * INST_BYTES);
-        if op.is_load() {
-            self.warm.warm(Access::Load, addr);
-        } else if op.is_store() {
-            self.warm.warm(Access::Store, addr);
-        }
-    }
-
-    fn checkpoint(&mut self) {
-        self.checkpoint = self.warm.clone();
-    }
-
-    fn time(&mut self, trace: &Trace) -> Result<SimReport, crate::error::SimError> {
-        let mut source = trace.entries.as_slice();
-        let warm = Some(self.checkpoint.clone());
-        self.core.run_source(self.program, &mut source, &mut NoopObserver, warm)
     }
 }
 
@@ -348,11 +293,7 @@ pub fn run_tier(
     match tier {
         Tier::Full => Ok(TierReport::Full(run_streamed(program, core, max_insts, &mut NoopObserver)?)),
         Tier::Func => Ok(TierReport::Func(run_func(program, max_insts)?)),
-        Tier::Sampled => {
-            let timing = WarmedTiming::new(core, program);
-            let rep = run_sampled_with(program, max_insts, sampling, timing)?;
-            Ok(TierReport::Sampled(rep))
-        }
+        Tier::Sampled => Ok(TierReport::Sampled(run_sampled(program, core, max_insts, sampling)?)),
     }
 }
 

@@ -65,12 +65,27 @@ pub struct CacheStats {
 /// assert!(l1.access(0x1000, false));  // now a hit
 /// assert!(l1.access(0x1030, true));   // same 64-byte line
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
     lines: Vec<Line>,
     tick: u64,
     stats: CacheStats,
+}
+
+/// `clone_from` copies into the existing `lines` allocation, so a
+/// checkpoint refreshed every sampling interval allocates nothing.
+impl Clone for Cache {
+    fn clone(&self) -> Cache {
+        Cache { config: self.config, lines: self.lines.clone(), tick: self.tick, stats: self.stats }
+    }
+
+    fn clone_from(&mut self, source: &Cache) {
+        self.config = source.config;
+        self.lines.clone_from(&source.lines);
+        self.tick = source.tick;
+        self.stats = source.stats;
+    }
 }
 
 impl Cache {
@@ -220,7 +235,7 @@ impl MemoryHierarchyConfig {
 ///
 /// The hierarchy is a latency model: [`MemoryHierarchy::access`] walks the
 /// levels, allocates lines, and returns the total access latency in cycles.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemoryHierarchy {
     config: MemoryHierarchyConfig,
     l1i: Cache,
@@ -228,6 +243,27 @@ pub struct MemoryHierarchy {
     l2: Cache,
     /// Completion times of in-flight data-side misses (MSHR occupancy).
     miss_slots: Vec<u64>,
+}
+
+/// `clone_from` reuses every allocation of the target (see [`Cache`]).
+impl Clone for MemoryHierarchy {
+    fn clone(&self) -> MemoryHierarchy {
+        MemoryHierarchy {
+            config: self.config,
+            l1i: self.l1i.clone(),
+            l1d: self.l1d.clone(),
+            l2: self.l2.clone(),
+            miss_slots: self.miss_slots.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &MemoryHierarchy) {
+        self.config = source.config;
+        self.l1i.clone_from(&source.l1i);
+        self.l1d.clone_from(&source.l1d);
+        self.l2.clone_from(&source.l2);
+        self.miss_slots.clone_from(&source.miss_slots);
+    }
 }
 
 impl MemoryHierarchy {
@@ -401,6 +437,19 @@ mod tests {
         assert_eq!(h.access(Access::Load, 0x1000), 3);
         let (_, l1d, _) = h.stats();
         assert_eq!(l1d.hits.total(), 1);
+    }
+
+    #[test]
+    fn clone_from_reuses_the_line_storage() {
+        let mut warm = MemoryHierarchy::new(MemoryHierarchyConfig::default());
+        warm.access(Access::Load, 0x1000);
+        let mut copy = MemoryHierarchy::new(MemoryHierarchyConfig::default());
+        let storage = copy.l2.lines.as_ptr();
+        copy.clone_from(&warm);
+        assert_eq!(copy.l2.lines.as_ptr(), storage, "no reallocation");
+        assert_eq!(copy.access(Access::Load, 0x1000), 3, "the copy holds the warmed line");
+        assert_eq!(copy.stats().1.hits.total(), 2, "statistics are copied too");
+        assert_eq!(warm.stats().1.hits.total(), 1, "the source is untouched");
     }
 
     #[test]

@@ -81,14 +81,44 @@ if [ $(( long_timed * 4 )) -gt "$long_insts" ]; then
 fi
 echo "long sampled smoke OK (full=$long_full cycles, sampled est=$long_est, err=${long_err} permille, timed $long_timed/$long_insts)"
 
-echo "==> bounded-memory smoke (9.2M-instruction nest, full-tier braid and ooo under ulimit -v 128 MiB)"
+echo "==> bounded-memory smoke (9.2M-instruction nest, full-tier braid and ooo, sampled ooo, under ulimit -v 128 MiB)"
 # The full tier streams its trace through a window-sized slot ring, so
 # memory is set by the configuration, not the run length: each run peaks
 # near 11 MB, while materializing its trace would need over 1 GB. The ooo
 # run also bounds its wakeup lists and port rings by the configuration.
 ( ulimit -v 131072; ./target/release/braidsim braid scripts/data/accum_9m.bl > /dev/null )
 ( ulimit -v 131072; ./target/release/braidsim ooo scripts/data/accum_9m.bl > /dev/null )
-echo "bounded-memory smoke OK"
+# The sampled tier runs its producer on a helper thread. Under the cap a
+# helper that allocated per interval ran 7-10x slower (its malloc arena),
+# so the capped run must print the uncapped report and take at most 3x
+# its wall time (best of two runs each, to ride out host noise).
+sampled_ms() {
+  local best=0 t0 t1 ms
+  for _ in 1 2; do
+    t0=$(date +%s%N)
+    ( [ "$1" = capped ] && ulimit -v 131072
+      ./target/release/braidsim ooo scripts/data/accum_9m.bl --tier sampled --report-json \
+        | grep '^{' > "$2" )
+    t1=$(date +%s%N)
+    ms=$(( (t1 - t0) / 1000000 ))
+    if [ "$best" -eq 0 ] || [ "$ms" -lt "$best" ]; then best=$ms; fi
+  done
+  echo "$best"
+}
+sampled_free="$(mktemp)"
+sampled_capped="$(mktemp)"
+free_ms="$(sampled_ms free "$sampled_free")"
+capped_ms="$(sampled_ms capped "$sampled_capped")"
+if ! cmp -s "$sampled_free" "$sampled_capped"; then
+  echo "bounded-memory smoke: capped sampled report differs from the uncapped one" >&2
+  exit 1
+fi
+rm -f "$sampled_free" "$sampled_capped"
+if [ "$capped_ms" -gt $(( 3 * free_ms )) ]; then
+  echo "bounded-memory smoke: capped sampled run took ${capped_ms} ms, over 3x uncapped ${free_ms} ms" >&2
+  exit 1
+fi
+echo "bounded-memory smoke OK (sampled: ${capped_ms} ms capped, ${free_ms} ms uncapped)"
 
 echo "==> cargo test -q -p braid-analyze"
 cargo test -q -p braid-analyze

@@ -78,6 +78,7 @@ use braid::isa::asm::assemble;
 use braid::isa::Program;
 use braid::obs::{check_kanata, metrics_json, report_json, write_kanata, PipelineObserver};
 use braid::sweep::CoreModel;
+use braid::workloads::MAX_SCALE;
 
 struct Options {
     width: u32,
@@ -496,10 +497,13 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
                         .map(|s| Tier::parse(s).ok_or_else(|| format!("unknown tier {s:?}")))
                         .collect::<Result<Vec<_>, _>>()
                         .map(|tiers| spec.tiers = tiers),
-                    ("--scale", Some(v)) => v
-                        .parse()
-                        .map(|s| spec.scale = s)
-                        .map_err(|_| format!("--scale: bad value {v:?}")),
+                    ("--scale", Some(v)) => match v.parse::<f64>() {
+                        Ok(s) if s > 0.0 && s <= MAX_SCALE => {
+                            spec.scale = s;
+                            Ok(())
+                        }
+                        _ => Err(format!("--scale: {v:?} is not in (0, {MAX_SCALE}]")),
+                    },
                     ("--threads", Some(v)) => v
                         .parse()
                         .map(|t: usize| threads = t.max(1))

@@ -203,6 +203,16 @@ fn braidsim_malformed_numbers_exit_two() {
 }
 
 #[test]
+fn braidsim_sweep_scale_out_of_range_exits_two() {
+    for value in ["0", "-1", "1e300", "1000.5", "nan", "inf", "x"] {
+        let out = braidsim().args(["sweep", "--scale", value]).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "--scale {value:?}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.contains("--scale") && text.contains("usage:"), "{value}: {text}");
+    }
+}
+
+#[test]
 fn braidsim_degenerate_sampling_exits_two() {
     for flag in ["--sample-period", "--sample-len"] {
         let out = braidsim()
