@@ -821,21 +821,11 @@ impl<'a> FastMachine<'a> {
         self.run_span::<false, false, _>(u64::MAX, max_insts, &mut sink, &mut no_sink)
     }
 
-    /// Runs until `halt` or `executed == stop` (a pause, not an error).
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecError`].
-    pub fn run_until(&mut self, stop: u64, fuel: u64) -> Result<(), ExecError> {
-        let mut sink = Vec::new();
-        self.run_span::<false, false, _>(stop, fuel, &mut sink, &mut no_sink)
-    }
-
-    /// Like [`FastMachine::run_until`], reporting every executed
-    /// instruction to `observe` as `(index, decoded op, effective
-    /// address)` — the address is 0 for non-memory instructions. The
-    /// sampled driver uses this for functional warming of
-    /// microarchitectural state.
+    /// Runs until `halt` or `executed == stop` (a pause, not an error),
+    /// reporting every executed instruction to `observe` as `(index,
+    /// decoded op, effective address)` — the address is 0 for non-memory
+    /// instructions. The sampled tier uses this for functional warming
+    /// of microarchitectural state.
     ///
     /// # Errors
     ///
@@ -863,8 +853,8 @@ impl<'a> FastMachine<'a> {
         self.run_recording_until(u64::MAX, max_insts, out)
     }
 
-    /// Like [`FastMachine::run_until`], appending every trace entry to
-    /// `out`: successive calls with rising `stop` record the same entries
+    /// Runs until `halt` or `executed == stop`, appending every trace entry
+    /// to `out`: successive calls with rising `stop` record the same entries
     /// as one [`FastMachine::run_recording`] pass, chunk by chunk. The
     /// streamed full tier pulls its trace this way.
     ///
@@ -887,22 +877,8 @@ impl<'a> FastMachine<'a> {
     /// sampled trace windows well-formed for the braid timing core, which
     /// must never replay a window that starts or stops mid-braid.
     /// Unannotated programs have `S` on every instruction, so the
-    /// extension is a no-op for them.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExecError`].
-    pub fn run_recording_to_boundary(
-        &mut self,
-        stop: u64,
-        fuel: u64,
-        out: &mut Vec<TraceEntry>,
-    ) -> Result<(), ExecError> {
-        self.record_to_boundary::<false, _>(stop, fuel, out, &mut no_sink)
-    }
-
-    /// [`FastMachine::run_recording_to_boundary`] with the per-instruction
-    /// `observe` hook of [`FastMachine::run_until_observed`].
+    /// extension is a no-op for them. Every executed instruction is
+    /// reported to `observe` as in [`FastMachine::run_until_observed`].
     ///
     /// # Errors
     ///
@@ -914,17 +890,7 @@ impl<'a> FastMachine<'a> {
         out: &mut Vec<TraceEntry>,
         observe: &mut S,
     ) -> Result<(), ExecError> {
-        self.record_to_boundary::<true, _>(stop, fuel, out, observe)
-    }
-
-    fn record_to_boundary<const SINK: bool, S: FnMut(u32, &DecodedOp, u64)>(
-        &mut self,
-        stop: u64,
-        fuel: u64,
-        out: &mut Vec<TraceEntry>,
-        sink: &mut S,
-    ) -> Result<(), ExecError> {
-        self.run_span::<true, SINK, _>(stop, fuel, out, sink)?;
+        self.run_span::<true, true, _>(stop, fuel, out, observe)?;
         let len = self.table.ops.len() as u64;
         while !self.halted && self.pc < len && !self.table.ops[self.pc as usize].start {
             if self.executed >= fuel {
@@ -932,9 +898,7 @@ impl<'a> FastMachine<'a> {
             }
             let i = self.pc as usize;
             let (next, addr, taken) = self.exec_inst(i)?;
-            if SINK {
-                sink(i as u32, self.table.pre.op(i as u32), addr);
-            }
+            observe(i as u32, self.table.pre.op(i as u32), addr);
             out.push(TraceEntry { idx: i as u32, next_idx: next as u32, addr, taken });
             self.executed += 1;
             self.pc = next;

@@ -28,6 +28,12 @@
 //! and `shutdown` drains queued work before the daemon exits ([`server`]
 //! documents the exact semantics).
 //!
+//! Every counter the daemon keeps lives in one place, braid-trace's
+//! [`braid_trace::Registry`]: request spans and their phases, requests by
+//! kind, errors, retries, shed requests, job latency and the merged CPI
+//! stack. The `stats` and `metrics` documents render that registry plus
+//! the live gauges (pool depth, cache counters, chaos counts).
+//!
 //! The service is built to survive hostile reality, and to prove it:
 //!
 //! - the cache ([`cache`]) has an optional crash-safe disk tier — entries
@@ -51,7 +57,6 @@ pub mod client;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
-pub mod stats;
 
 pub use cache::ResultCache;
 pub use chaos::{Chaos, ChaosSpec};
@@ -59,4 +64,3 @@ pub use client::{Client, ClientConfig, ClientError};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenError, LoadgenReport};
 pub use protocol::{parse_request, parse_request_traced, ParsedRequest, Request};
 pub use server::{Server, ServerConfig};
-pub use stats::ServeStats;

@@ -24,7 +24,7 @@
 //! simulation failures.
 
 use braid_core::{SamplingConfig, Tier};
-use braid_sweep::grid::CoreModel;
+use braid_sweep::grid::{CoreModel, MAX_BEUS, MAX_WIDTH, MAX_WINDOW};
 use braid_sweep::json::{self, Json};
 use braid_workloads::MAX_SCALE;
 
@@ -143,6 +143,18 @@ fn opt_scale(obj: &Json) -> Result<f64, String> {
         Ok(scale)
     } else {
         Err(format!("`scale` must be in (0, {MAX_SCALE}]"))
+    }
+}
+
+/// An optional field that sizes the simulated machine (`width`, `window`,
+/// `beus`; `0` = the paper default): anything above `max` is rejected
+/// here, before a core could allocate for it.
+fn opt_size(obj: &Json, key: &str, max: u32) -> Result<u32, String> {
+    let v = opt_u32(obj, key, 0)?;
+    if v <= max {
+        Ok(v)
+    } else {
+        Err(format!("`{key}` must be at most {max}"))
     }
 }
 
@@ -266,7 +278,7 @@ pub fn parse_request_traced(line: &str) -> Result<ParsedRequest, ProtocolError> 
             Request::Simulate {
                 workload: req_workload(&doc).map_err(fail)?,
                 core: req_core(&doc).map_err(fail)?,
-                width: opt_u32(&doc, "width", 0).map_err(fail)?,
+                width: opt_size(&doc, "width", MAX_WIDTH).map_err(fail)?,
                 scale: opt_scale(&doc).map_err(fail)?,
                 perfect: opt_bool(&doc, "perfect", false).map_err(fail)?,
                 deadline: opt_u64(&doc, "deadline", 0).map_err(fail)?,
@@ -287,10 +299,10 @@ pub fn parse_request_traced(line: &str) -> Result<ParsedRequest, ProtocolError> 
                 index: 0,
                 workload: req_workload(&doc).map_err(fail)?,
                 core: req_core(&doc).map_err(fail)?,
-                width: opt_u32(&doc, "width", 0).map_err(fail)?,
-                beus: opt_u32(&doc, "beus", 0).map_err(fail)?,
+                width: opt_size(&doc, "width", MAX_WIDTH).map_err(fail)?,
+                beus: opt_size(&doc, "beus", MAX_BEUS).map_err(fail)?,
                 fifo: opt_u32(&doc, "fifo", 0).map_err(fail)?,
-                window: opt_u32(&doc, "window", 0).map_err(fail)?,
+                window: opt_size(&doc, "window", MAX_WINDOW).map_err(fail)?,
                 bypass: opt_u32(&doc, "bypass", 0).map_err(fail)?,
                 scale: opt_scale(&doc).map_err(fail)?,
                 perfect: opt_bool(&doc, "perfect", false).map_err(fail)?,
@@ -300,7 +312,7 @@ pub fn parse_request_traced(line: &str) -> Result<ParsedRequest, ProtocolError> 
         "trace" => Request::Trace {
             workload: req_workload(&doc).map_err(fail)?,
             core: req_core(&doc).map_err(fail)?,
-            width: opt_u32(&doc, "width", 0).map_err(fail)?,
+            width: opt_size(&doc, "width", MAX_WIDTH).map_err(fail)?,
             scale: opt_scale(&doc).map_err(fail)?,
         },
         "stats" => Request::Stats,

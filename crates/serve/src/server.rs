@@ -51,11 +51,21 @@
 //! serialize, and the **writer** closes it after the response line is
 //! flushed — so a span's total covers the full on-server lifetime and its
 //! phases sum to that total by construction. Completed spans feed the
-//! always-on [`braid_trace::Registry`] (served by the `metrics` request)
-//! and, when [`ServerConfig::trace_log`] is set, a JSON-lines span log.
+//! always-on [`braid_trace::Registry`] and, when
+//! [`ServerConfig::trace_log`] is set, a JSON-lines span log.
 //! Trace IDs (client-supplied via the `trace` field or generated) appear
 //! only in that log — never in response lines or cache keys, so tracing
 //! cannot perturb the byte-determinism contract `--verify` checks.
+//!
+//! ## Metrics
+//!
+//! The registry is the daemon's one aggregate: besides the spans it
+//! counts requests by kind, protocol and request errors, retries and
+//! shed requests, and holds the latency histogram of executed jobs and
+//! the merged CPI stack of computed simulations. The `stats` and
+//! `metrics` documents are rendered from it plus the live gauges kept
+//! outside it — pool depth and panics, the cache counters, and the chaos
+//! injection counts.
 //!
 //! ## Shutdown and drain
 //!
@@ -78,7 +88,7 @@ use std::time::{Duration, Instant};
 
 use braid_core::processor::{run_tier, CoreConfig, RunError, TierReport};
 use braid_core::Tier;
-use braid_obs::report_json;
+use braid_obs::{cpi_json, hist_json, report_json};
 use braid_sweep::digest::{hex, ContentDigest};
 use braid_sweep::grid::CoreModel;
 use braid_sweep::json::Json;
@@ -90,7 +100,6 @@ use braid_trace::{next_trace_id, Phase, RequestSpan, TraceHub, TraceLog};
 use crate::cache::{DiskFault, ResultCache};
 use crate::chaos::{Chaos, ChaosSpec, WriteFault};
 use crate::protocol::{self, BoundedLine, ParsedRequest, Request};
-use crate::stats::ServeStats;
 
 /// Daemon configuration. The defaults suit tests and smoke runs; the
 /// `braidd` binary maps its flags onto these fields.
@@ -156,7 +165,6 @@ impl Default for ServerConfig {
 struct Shared {
     cfg: ServerConfig,
     cache: ResultCache,
-    stats: ServeStats,
     pool: JobPool,
     chaos: Option<Chaos>,
     trace: Arc<TraceHub>,
@@ -209,7 +217,6 @@ impl Server {
         cache.arm_trace(Arc::clone(&trace));
         let shared = Arc::new(Shared {
             cache,
-            stats: ServeStats::new(),
             pool: JobPool::new(threads, cfg.queue_bound),
             chaos: cfg.chaos.clone().map(Chaos::new),
             trace,
@@ -246,7 +253,7 @@ impl Server {
             let stream = stream?;
             let shared = Arc::clone(&self.shared);
             if shared.active.load(Ordering::SeqCst) >= shared.cfg.max_connections {
-                shared.stats.record_retry();
+                shared.trace.registry().record_retry();
                 let mut w = BufWriter::new(&stream);
                 let _ = writeln!(w, "{}", protocol::retry_line(0, shared.cfg.retry_after_ms));
                 let _ = w.flush();
@@ -374,7 +381,7 @@ fn handle_connection(
                 span.mark(Phase::Read);
                 span.describe(next_trace_id(), "invalid", 0);
                 span.set_status("protocol_error");
-                shared.stats.record_protocol_error();
+                shared.trace.registry().record_protocol_error();
                 let msg =
                     format!("request line exceeds {} bytes", shared.cfg.max_line_bytes);
                 let line = protocol::error_line(0, "line-too-long", &msg);
@@ -400,7 +407,7 @@ fn handle_connection(
                 span.mark(Phase::Parse);
                 span.describe(next_trace_id(), "invalid", e.id);
                 span.set_status("protocol_error");
-                shared.stats.record_protocol_error();
+                shared.trace.registry().record_protocol_error();
                 let line = protocol::error_line(e.id, e.code, &e.message);
                 span.mark(Phase::Serialize);
                 send(line, Some(span));
@@ -409,32 +416,17 @@ fn handle_connection(
                 span.mark(Phase::Parse);
                 span.describe(trace.unwrap_or_else(next_trace_id), request.kind(), id);
                 match request {
-                    Request::Stats => {
-                        shared.stats.record_request("stats");
-                        let doc = shared.stats.to_json(
-                            &shared.cache,
-                            &shared.pool,
-                            shared.chaos.as_ref(),
-                        );
-                        span.mark(Phase::Execute);
-                        let line = protocol::ok_line(id, &doc.compact());
-                        span.mark(Phase::Serialize);
-                        send(line, Some(span));
-                    }
-                    Request::Metrics => {
-                        shared.stats.record_request("metrics");
-                        let doc = shared.stats.metrics_json(
-                            shared.trace.registry(),
-                            &shared.cache,
-                            shared.chaos.as_ref(),
-                        );
+                    Request::Stats | Request::Metrics => {
+                        let metrics = matches!(request, Request::Metrics);
+                        shared.trace.registry().record_request(request.kind());
+                        let doc = service_json(shared, metrics);
                         span.mark(Phase::Execute);
                         let line = protocol::ok_line(id, &doc.compact());
                         span.mark(Phase::Serialize);
                         send(line, Some(span));
                     }
                     Request::Shutdown => {
-                        shared.stats.record_request("shutdown");
+                        shared.trace.registry().record_request("shutdown");
                         shared.shutdown.store(true, Ordering::SeqCst);
                         shared.pool.close();
                         span.mark(Phase::Execute);
@@ -448,13 +440,13 @@ fn handle_connection(
                         break;
                     }
                     req => {
-                        shared.stats.record_request(req.kind());
+                        shared.trace.registry().record_request(req.kind());
                         // Deterministic load shedding by class: expensive
                         // work is refused early so cheap introspection
                         // stays live.
                         let depth = shared.pool.depth().queued;
                         if req.shed_class().sheds(depth, shared.cfg.queue_bound) {
-                            shared.stats.record_shed();
+                            shared.trace.registry().record_shed();
                             span.set_status("retry");
                             let line = protocol::retry_line(id, shared.cfg.retry_after_ms);
                             span.mark(Phase::Serialize);
@@ -479,18 +471,19 @@ fn handle_connection(
                             let started = Instant::now();
                             let line = execute(&job_shared, id, &req, &mut span);
                             job_shared
-                                .stats
+                                .trace
+                                .registry()
                                 .record_latency_us(started.elapsed().as_micros() as u64);
                             let _ = tx_job.send((this_seq, line, false, Some(span)));
                         });
                         match submitted {
                             Ok(()) => {}
                             Err(SubmitError::Saturated) => {
-                                shared.stats.record_retry();
+                                shared.trace.registry().record_retry();
                                 send(protocol::retry_line(id, shared.cfg.retry_after_ms), None);
                             }
                             Err(SubmitError::Closing) => {
-                                shared.stats.record_request_error();
+                                shared.trace.registry().record_request_error();
                                 send(
                                     protocol::error_line(
                                         id,
@@ -511,6 +504,66 @@ fn handle_connection(
     Ok(())
 }
 
+/// Renders the `stats` document, or with `metrics` set the `metrics`
+/// document, from the registry and the live gauges.
+///
+/// Both open with the registry's service counters and the cache block.
+/// `stats` goes on with the pool depths, the latency histogram of
+/// executed jobs and the merged CPI stack; `metrics` with the registry's
+/// span aggregate (the `trace` block). An armed chaos harness adds its
+/// spec seed and per-class injection counts last.
+///
+/// Determinism contract of `metrics`: for the same request sequence the
+/// document is byte-identical modulo fields whose keys end in `_us` — the
+/// racy pool depths and the host-latency histogram of `stats` stay out.
+fn service_json(shared: &Shared, metrics: bool) -> Json {
+    let registry = shared.trace.registry();
+    let mut doc = registry.counters_json();
+    doc.push(("cache".into(), cache_json(&shared.cache)));
+    if metrics {
+        doc.push(("trace".into(), registry.to_json()));
+    } else {
+        let depth = shared.pool.depth();
+        let pool = Json::Obj(vec![
+            ("queued".into(), Json::Int(depth.queued as u64)),
+            ("running".into(), Json::Int(depth.running as u64)),
+            ("panics".into(), Json::Int(shared.pool.panics())),
+        ]);
+        doc.push(("pool".into(), pool));
+        doc.push(("latency_us".into(), hist_json(&registry.latency_us())));
+        doc.push(("cpi".into(), cpi_json(&registry.cpi())));
+    }
+    if let Some(chaos) = &shared.chaos {
+        doc.push(("chaos".into(), chaos.to_json()));
+    }
+    Json::Obj(doc)
+}
+
+/// The cache counter block of the `stats` and `metrics` documents; the
+/// `disk` object appears only when the disk tier is configured.
+fn cache_json(cache: &ResultCache) -> Json {
+    let (hits, misses) = cache.counters();
+    let mut fields = vec![
+        ("hits".into(), Json::Int(hits)),
+        ("misses".into(), Json::Int(misses)),
+        ("entries".into(), Json::Int(cache.len() as u64)),
+        ("capacity".into(), Json::Int(cache.capacity() as u64)),
+    ];
+    if let Some(d) = cache.disk_counters() {
+        fields.push((
+            "disk".into(),
+            Json::Obj(vec![
+                ("hits".into(), Json::Int(d.hits)),
+                ("writes".into(), Json::Int(d.writes)),
+                ("quarantined".into(), Json::Int(d.quarantined)),
+                ("errors".into(), Json::Int(d.errors)),
+                ("enabled".into(), Json::Bool(d.enabled)),
+            ]),
+        ));
+    }
+    Json::Obj(fields)
+}
+
 /// Runs one compute request to a finished response line. Infallible at
 /// this layer: failures become `error` lines (with the span's status set
 /// to match). The span picks up its cache-probe/execute phase charges
@@ -519,7 +572,7 @@ fn execute(shared: &Shared, id: u64, req: &Request, span: &mut RequestSpan) -> S
     let line = match run_request(shared, req, span) {
         Ok(payload) => protocol::ok_line(id, &payload),
         Err(e) => {
-            shared.stats.record_request_error();
+            shared.trace.registry().record_request_error();
             span.set_status("error");
             // Whatever ran before the failure is execute time.
             span.mark(Phase::Execute);
@@ -582,12 +635,12 @@ fn run_request(shared: &Shared, req: &Request, span: &mut RequestSpan) -> Result
                 .map_err(|source| SweepError::Point { key: w.name.clone(), source })?;
             let payload = match &rep {
                 TierReport::Full(r) => {
-                    shared.stats.merge_cpi(&r.cpi);
+                    shared.trace.registry().merge_cpi(&r.cpi);
                     span.add_cycles(r.cycles);
                     report_json(r)
                 }
                 TierReport::Sampled(r) => {
-                    shared.stats.merge_cpi(&r.cpi);
+                    shared.trace.registry().merge_cpi(&r.cpi);
                     span.add_cycles(r.est_cycles);
                     tier_payload(&w.name, *tier, &rep)
                 }
@@ -651,14 +704,14 @@ fn run_request(shared: &Shared, req: &Request, span: &mut RequestSpan) -> Result
             }
             probe(span, false);
             let stats = run_point(point)?;
-            shared.stats.merge_cpi(&stats.cpi);
+            shared.trace.registry().merge_cpi(&stats.cpi);
             span.add_cycles(stats.cycles);
             let mut fields = vec![
                 ("key".into(), Json::Str(point.key())),
                 ("instructions".into(), Json::Int(stats.instructions)),
                 ("cycles".into(), Json::Int(stats.cycles)),
                 ("ipc".into(), Json::Float(stats.ipc())),
-                ("cpi".into(), braid_obs::cpi_json(&stats.cpi)),
+                ("cpi".into(), cpi_json(&stats.cpi)),
             ];
             if point.tier == Tier::Sampled {
                 fields.push(("est_cycles".into(), Json::Int(stats.est_cycles)));
@@ -692,7 +745,7 @@ fn run_request(shared: &Shared, req: &Request, span: &mut RequestSpan) -> Result
             let cfg = paper_core(*core, *width, false, shared.cfg.deadline_cycles);
             let report = braid_tracein::replay(&file, &cfg)
                 .map_err(|e| malformed(&w, format!("trace replay failed: {e}")))?;
-            shared.stats.merge_cpi(&report.cpi);
+            shared.trace.registry().merge_cpi(&report.cpi);
             span.add_cycles(report.cycles);
             let payload = Json::Obj(vec![
                 ("workload".into(), Json::Str(w.name.clone())),
@@ -764,7 +817,7 @@ fn tier_payload(workload: &str, tier: Tier, rep: &TierReport) -> Json {
             if let Some(ci) = r.ci95_cycles {
                 fields.push(("ci95_cycles".into(), Json::Int(ci)));
             }
-            fields.push(("cpi".into(), braid_obs::cpi_json(&r.cpi)));
+            fields.push(("cpi".into(), cpi_json(&r.cpi)));
         }
     }
     Json::Obj(fields)
@@ -809,5 +862,65 @@ mod tests {
         configure_socket(&client, 0).expect("configure");
         assert!(client.nodelay().expect("nodelay"));
         assert_eq!(client.read_timeout().expect("read timeout"), None);
+    }
+
+    /// The state of a bound daemon that is not serving.
+    fn idle_server() -> Server {
+        Server::bind(ServerConfig { threads: 1, ..ServerConfig::default() }).expect("bind loopback")
+    }
+
+    #[test]
+    fn stats_document_reflects_recorded_events() {
+        let server = idle_server();
+        let shared = &server.shared;
+        let registry = shared.trace.registry();
+        registry.record_request("simulate");
+        registry.record_request("simulate");
+        registry.record_request("stats");
+        registry.record_retry();
+        registry.record_protocol_error();
+        registry.record_latency_us(120);
+        let mut cpi = braid_core::CpiStack::new();
+        cpi.add(braid_core::StallCause::Base, 10);
+        registry.merge_cpi(&cpi);
+        shared.cache.insert("k".into(), "v".into());
+        let _ = shared.cache.get("k");
+
+        registry.record_shed();
+
+        let doc = service_json(shared, false);
+        assert_eq!(doc.get("requests").unwrap().get("simulate").unwrap().as_u64(), Some(2));
+        assert_eq!(doc.get("retries").unwrap().as_u64(), Some(2), "shed also counts as a retry");
+        assert_eq!(doc.get("shed").unwrap().as_u64(), Some(1));
+        assert!(doc.get("chaos").is_none(), "no chaos object when the harness is unarmed");
+        assert!(doc.get("cache").unwrap().get("disk").is_none(), "RAM-only cache: no disk object");
+        assert_eq!(doc.get("protocol_errors").unwrap().as_u64(), Some(1));
+        assert_eq!(doc.get("cache").unwrap().get("hits").unwrap().as_u64(), Some(1));
+        assert_eq!(doc.get("latency_us").unwrap().get("samples").unwrap().as_u64(), Some(1));
+        assert_eq!(doc.get("cpi").unwrap().get("base").unwrap().as_u64(), Some(10));
+    }
+
+    #[test]
+    fn metrics_document_folds_service_counters_around_the_registry() {
+        let server = idle_server();
+        let shared = &server.shared;
+        shared.trace.registry().record_request("simulate");
+        shared.trace.registry().record_shed();
+        let mut span = RequestSpan::begin();
+        span.describe("t-1".into(), "simulate", 1);
+        span.mark(Phase::Read);
+        span.mark(Phase::Execute);
+        shared.trace.complete(span);
+        shared.trace.event("cache-demoted", vec![]);
+
+        let doc = service_json(shared, true);
+        assert_eq!(doc.get("requests").unwrap().get("simulate").unwrap().as_u64(), Some(1));
+        assert_eq!(doc.get("shed").unwrap().as_u64(), Some(1));
+        let trace = doc.get("trace").expect("registry block");
+        assert_eq!(trace.get("spans").unwrap().as_u64(), Some(1));
+        assert_eq!(trace.get("conserved").unwrap().as_bool(), Some(true));
+        assert_eq!(trace.get("events").unwrap().get("cache-demoted").unwrap().as_u64(), Some(1));
+        assert!(doc.get("pool").is_none(), "racy pool depths stay out of metrics");
+        assert!(doc.get("latency_us").is_none(), "host latency block stays out of metrics");
     }
 }

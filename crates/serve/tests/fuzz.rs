@@ -14,15 +14,17 @@
 //!    never desynchronizes, and afterwards the daemon still serves
 //!    correct results.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
-use std::thread;
+mod common;
+
+use std::io::BufRead;
 
 use braid_prng::Rng;
 use braid_serve::loadgen::generate_requests;
 use braid_serve::protocol::parse_request;
-use braid_serve::server::{Server, ServerConfig};
+use braid_serve::server::ServerConfig;
 use braid_sweep::json::{self, Json};
+use braid_sweep::{MAX_BEUS, MAX_WIDTH, MAX_WINDOW};
+use common::{start, Client};
 
 /// How many mangled cases each property sees.
 const CASES: usize = 256;
@@ -100,29 +102,23 @@ fn parse_request_is_total_over_mangled_input() {
 
 #[test]
 fn daemon_survives_a_mangled_frame_stream() {
-    let server = Server::bind(ServerConfig { threads: 2, ..ServerConfig::default() })
-        .expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = thread::spawn(move || server.run());
-
-    let stream = TcpStream::connect(&addr).expect("connect");
-    stream
+    let (addr, handle) = start(ServerConfig { threads: 2, ..ServerConfig::default() });
+    let mut c = Client::connect(&addr);
+    c.reader
+        .get_ref()
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
         .expect("arm client timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = BufWriter::new(stream);
 
     let pool = generate_requests(32, 43);
     let mut rng = Rng::seed_from_u64(44);
     let mut protocol_errors_sent = 0u64;
     for case in 0..CASES {
         let line = mangle(&mut rng, &pool);
-        writeln!(writer, "{line}").expect("send mangled line");
-        writer.flush().expect("flush");
+        c.send(&line);
         // One complete line in, exactly one response line out — whatever
         // the bytes were. Anything else means the framing desynchronized.
         let mut resp = String::new();
-        let n = reader.read_line(&mut resp).expect("one response per line");
+        let n = c.reader.read_line(&mut resp).expect("one response per line");
         assert!(n > 0, "case {case}: server closed on a bounded, newline-terminated line");
         let doc = json::parse(resp.trim_end())
             .unwrap_or_else(|e| panic!("case {case}: response not JSON ({e}): {resp:?}"));
@@ -142,30 +138,19 @@ fn daemon_survives_a_mangled_frame_stream() {
 
     // After all of that, the daemon still computes correct results on the
     // very same connection.
-    writeln!(writer, r#"{{"id":7,"kind":"simulate","workload":"dot_product","core":"braid"}}"#)
-        .expect("send valid request");
-    writer.flush().expect("flush");
-    let mut resp = String::new();
-    reader.read_line(&mut resp).expect("valid request answered");
-    let doc = json::parse(resp.trim_end()).expect("response is JSON");
+    let doc =
+        c.round_trip(r#"{"id":7,"kind":"simulate","workload":"dot_product","core":"braid"}"#);
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
     assert_eq!(doc.get("id").and_then(Json::as_u64), Some(7));
     assert!(doc.get("result").unwrap().get("cycles").unwrap().as_u64().unwrap() > 0);
 
     // And its stats counted the abuse.
-    writeln!(writer, r#"{{"id":8,"kind":"stats"}}"#).expect("send stats");
-    writer.flush().expect("flush");
-    resp.clear();
-    reader.read_line(&mut resp).expect("stats answered");
-    let doc = json::parse(resp.trim_end()).expect("stats is JSON");
+    let doc = c.round_trip(r#"{"id":8,"kind":"stats"}"#);
     let counted =
         doc.get("result").unwrap().get("protocol_errors").unwrap().as_u64().unwrap();
     assert!(counted > 0, "protocol errors show up in stats");
 
-    writeln!(writer, r#"{{"id":9,"kind":"shutdown"}}"#).expect("send shutdown");
-    writer.flush().expect("flush");
-    resp.clear();
-    reader.read_line(&mut resp).expect("shutdown answered");
+    c.round_trip(r#"{"id":9,"kind":"shutdown"}"#);
     handle.join().expect("accept loop").expect("clean exit");
 }
 
@@ -187,38 +172,53 @@ fn scale_is_range_checked_at_every_request_kind() {
             assert!(err.message.contains("`scale`"), "{kind} scale {scale}: {}", err.message);
         }
     }
+    // The fields that size the simulated machine: `width` on every kind
+    // that carries it, and the sweep-point axes `window` and `beus`.
+    let sized = [
+        (r#""kind":"simulate","core":"ooo""#, "width", MAX_WIDTH),
+        (r#""kind":"sweep-point","core":"ooo""#, "width", MAX_WIDTH),
+        (r#""kind":"trace","core":"ooo""#, "width", MAX_WIDTH),
+        (r#""kind":"sweep-point","core":"braid""#, "window", MAX_WINDOW),
+        (r#""kind":"sweep-point","core":"braid""#, "beus", MAX_BEUS),
+    ];
+    for (kind, key, max) in sized {
+        let line = |v: u64| format!(r#"{{"id":3,{kind},"workload":"gcc","{key}":{v}}}"#);
+        assert!(parse_request(&line(max.into())).is_ok(), "{kind}: {key} {max} is accepted");
+        for v in [u64::from(max) + 1, 1_000_000, u32::MAX.into()] {
+            let err = parse_request(&line(v)).expect_err("out-of-range size");
+            assert_eq!((err.id, err.code), (3, "bad-request"), "{kind} {key} {v}");
+            assert!(err.message.contains(&format!("`{key}`")), "{kind} {key} {v}: {}", err.message);
+        }
+    }
 }
 
 #[test]
 fn daemon_refuses_extreme_scales_and_keeps_serving() {
-    let server = Server::bind(ServerConfig { threads: 2, ..ServerConfig::default() })
-        .expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = thread::spawn(move || server.run());
-    let stream = TcpStream::connect(&addr).expect("connect");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = BufWriter::new(stream);
-    let mut round_trip = |line: String| {
-        writeln!(writer, "{line}").expect("send");
-        writer.flush().expect("flush");
-        let mut resp = String::new();
-        reader.read_line(&mut resp).expect("answered");
-        json::parse(resp.trim_end()).expect("response is JSON")
-    };
+    let (addr, handle) = start(ServerConfig { threads: 2, ..ServerConfig::default() });
+    let mut c = Client::connect(&addr);
 
     for (id, scale) in [(1, "1e300"), (2, "-1"), (3, "0")] {
-        let doc = round_trip(format!(
+        let doc = c.round_trip(&format!(
             r#"{{"id":{id},"kind":"simulate","workload":"gcc","core":"inorder","scale":{scale}}}"#
         ));
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"), "scale {scale}");
         assert_eq!(doc.get("code").and_then(Json::as_str), Some("bad-request"), "scale {scale}");
     }
-    let doc = round_trip(
-        r#"{"id":4,"kind":"simulate","workload":"gcc","core":"inorder","scale":0.05}"#.into(),
-    );
+    // A machine too large to allocate is refused the same way.
+    for (id, request) in [
+        (11, r#""kind":"simulate","core":"ooo","width":1000000"#),
+        (12, r#""kind":"sweep-point","core":"braid","window":1000000000"#),
+        (13, r#""kind":"sweep-point","core":"braid","beus":100000000"#),
+    ] {
+        let doc = c.round_trip(&format!(r#"{{"id":{id},{request},"workload":"dot_product"}}"#));
+        assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"), "{request}");
+        assert_eq!(doc.get("code").and_then(Json::as_str), Some("bad-request"), "{request}");
+    }
+    let ok = r#"{"id":4,"kind":"simulate","workload":"gcc","core":"inorder","scale":0.05}"#;
+    let doc = c.round_trip(ok);
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
     assert!(doc.get("result").unwrap().get("cycles").unwrap().as_u64().unwrap() > 0);
 
-    round_trip(r#"{"id":5,"kind":"shutdown"}"#.into());
+    c.round_trip(r#"{"id":5,"kind":"shutdown"}"#);
     handle.join().expect("accept loop").expect("clean exit");
 }

@@ -3,67 +3,16 @@
 //! trace-ID round-trips into the span log, and chaos-driven cache events.
 //!
 //! Schema tests here are deliberately brittle: the `stats` and `metrics`
-//! key sets are wire contract, consumed by scripts (`tier1.sh`) that grep
-//! for exact field names. Renaming a field must fail a test, not silently
+//! key sets are wire contract, read by exact field name (braid-perf's
+//! `serve-mix`, the root `tests/daemon.rs`). Renaming a field must fail a test, not silently
 //! break a dashboard.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::thread::{self, JoinHandle};
+mod common;
 
 use braid_serve::chaos::ChaosSpec;
-use braid_serve::server::{Server, ServerConfig};
+use braid_serve::server::ServerConfig;
 use braid_sweep::json::{self, Json};
-
-/// A scratch directory under the system temp dir, removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let dir =
-            std::env::temp_dir().join(format!("braid-metrics-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Boots a daemon and returns its address plus the accept-loop handle.
-fn start(cfg: ServerConfig) -> (String, JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = thread::spawn(move || server.run());
-    (addr, handle)
-}
-
-/// A simple synchronous client: send one line, read one line.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        Client { reader, writer: BufWriter::new(stream) }
-    }
-
-    fn round_trip(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").expect("send");
-        self.writer.flush().expect("flush");
-        let mut resp = String::new();
-        let n = self.reader.read_line(&mut resp).expect("recv");
-        assert!(n > 0, "server closed the connection unexpectedly");
-        json::parse(resp.trim_end()).expect("response is JSON")
-    }
-}
+use common::{start, Client, TempDir};
 
 /// Top-level keys of an object, in rendering order.
 fn keys(doc: &Json) -> Vec<String> {

@@ -18,6 +18,21 @@ use std::fmt;
 use braid_core::config::{BraidConfig, DepConfig, InOrderConfig, OooConfig};
 use braid_core::{CoreConfig, SamplingConfig, Tier};
 
+/// Largest accepted machine width. A width sizes the slot ring and every
+/// per-cycle structure of a core; the paper and the repo's sweeps go up to
+/// 16, and at 64 `@dot_product` runs on all four cores in 128 MiB of
+/// address space.
+pub const MAX_WIDTH: u32 = 64;
+
+/// Largest accepted instruction window (the in-flight limit, or the braid
+/// machine's BEU scheduling window). The 16-wide paper machines keep 512
+/// instructions in flight.
+pub const MAX_WINDOW: u32 = 4096;
+
+/// Largest accepted BEU count of the braid machine; its paper-wide
+/// configuration has one BEU per unit of width.
+pub const MAX_BEUS: u32 = MAX_WIDTH;
+
 /// Which timing core a grid point runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoreModel {

@@ -40,10 +40,13 @@ use std::time::Instant;
 
 use braid_core::processor::{run_tier, CoreConfig, RunError, TierReport};
 use braid_core::report::SimReport;
-use braid_core::{CpiStack, SamplingConfig, SimError, StallCause, Tier};
+use braid_core::{SamplingConfig, SimError, StallCause, Tier};
 
-pub use grid::{CoreModel, GridPoint, SweepSpec};
+pub use grid::{CoreModel, GridPoint, SweepSpec, MAX_BEUS, MAX_WIDTH, MAX_WINDOW};
 pub use json::Json;
+/// The CPI stack type of [`PointStats::cpi`], re-exported so crates that
+/// aggregate point results need no direct braid-core dependency.
+pub use braid_core::CpiStack;
 
 /// The deterministic slice of a [`SimReport`] a sweep keeps per point.
 ///

@@ -25,8 +25,10 @@
 //! - [`RequestSpan`] / [`SpanRecord`] ([`span`]): the per-request phase
 //!   timer and its finished, serializable record.
 //! - [`Registry`] ([`registry`]): the process-wide metrics aggregation —
-//!   per-phase and per-request-class [`braid_uarch::Histogram`]s plus
-//!   named event counters, rendered as deterministic-keyed JSON.
+//!   per-phase and per-request-class [`braid_uarch::Histogram`]s, named
+//!   event counters, and the service counters (requests, errors,
+//!   retries, shed, job latency, merged CPI stack), rendered as
+//!   deterministic-keyed JSON. braidd keeps no other aggregate.
 //! - [`TraceLog`] ([`log`]): an optional JSON-lines span/event export
 //!   (braidd's `--trace-log`).
 //! - [`TraceHub`] ([`registry`]): the registry and the optional log

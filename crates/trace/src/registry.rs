@@ -1,5 +1,8 @@
-//! The metrics registry: per-phase and per-class histograms plus named
-//! event counters, rendered as deterministic-keyed JSON.
+//! The metrics registry: braidd's one aggregate. It holds per-phase and
+//! per-class histograms over finished spans, named event counters, and
+//! the service counters (requests by kind, protocol and request errors,
+//! retries, shed requests, the latency of executed jobs, and the merged
+//! CPI stack of computed simulations), all behind one lock.
 //!
 //! Aggregation preserves the span-level conservation invariant: a
 //! recorded span bumps **every** phase histogram exactly once (zero
@@ -10,21 +13,23 @@
 //!   value sums (both are the same `total_us` population).
 //!
 //! [`Registry::conserved`] checks both, and the rendered document carries
-//! the verdict as a `conserved` boolean so a remote client (or a CI
-//! smoke) can assert the invariant without re-deriving it.
+//! the verdict as a `conserved` boolean so a remote client (or a test)
+//! can assert the invariant without re-deriving it.
 //!
 //! ## Determinism contract
 //!
 //! The JSON key set and ordering are fixed; every host-time *value* lives
-//! under a key ending in `_us` (`mean_us`, `p50_us`, ...). Counters
-//! (`count`, `spans`, `status`, `events`) are deterministic for a
-//! deterministic request sequence, so stripping `_us`-suffixed keys
-//! yields a byte-comparable document — the schema test pins this.
+//! under a key ending in `_us` (`mean_us`, `p50_us`, `latency_us`, ...).
+//! Counters (`count`, `spans`, `status`, `events`, `requests`, `retries`,
+//! ...) are deterministic for a deterministic request sequence, so
+//! stripping `_us`-suffixed keys yields a byte-comparable document — the
+//! schema test pins this.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
 use braid_sweep::json::Json;
+use braid_sweep::CpiStack;
 use braid_uarch::Histogram;
 
 use crate::log::TraceLog;
@@ -37,9 +42,27 @@ struct RegistryInner {
     phases: [Histogram; Phase::COUNT],
     classes: BTreeMap<&'static str, Histogram>,
     events: BTreeMap<String, u64>,
+    requests: BTreeMap<&'static str, u64>,
+    protocol_errors: u64,
+    request_errors: u64,
+    retries: u64,
+    shed: u64,
+    latency_us: Histogram,
+    cpi: CpiStack,
 }
 
-/// Thread-safe metrics aggregation over finished spans and named events.
+impl RegistryInner {
+    /// See [`Registry::conserved`].
+    fn conserved(&self) -> bool {
+        let counts_ok = self.phases.iter().all(|h| h.total() == self.spans);
+        let phase_sum: u128 = self.phases.iter().map(Histogram::sum).sum();
+        let class_sum: u128 = self.classes.values().map(Histogram::sum).sum();
+        counts_ok && phase_sum == class_sum
+    }
+}
+
+/// Thread-safe metrics aggregation over finished spans, named events and
+/// the service counters.
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<RegistryInner>,
@@ -106,16 +129,80 @@ impl Registry {
     /// histogram holds exactly one sample per span, and phase time sums
     /// to class time (the same `total_us` population seen two ways).
     pub fn conserved(&self) -> bool {
-        let inner = self.lock();
-        let counts_ok = inner.phases.iter().all(|h| h.total() == inner.spans);
-        let phase_sum: u128 = inner.phases.iter().map(Histogram::sum).sum();
-        let class_sum: u128 = inner.classes.values().map(Histogram::sum).sum();
-        counts_ok && phase_sum == class_sum
+        self.lock().conserved()
     }
 
-    /// Renders the registry: `spans`, `status`, `phases` (lifetime
-    /// order), `classes` (sorted), `events` (sorted), `conserved`. See
-    /// the module docs for the determinism contract.
+    /// Counts one accepted request of `kind`.
+    pub fn record_request(&self, kind: &'static str) {
+        *self.lock().requests.entry(kind).or_insert(0) += 1;
+    }
+
+    /// Counts a line the protocol layer rejected.
+    pub fn record_protocol_error(&self) {
+        self.lock().protocol_errors += 1;
+    }
+
+    /// Counts a request that executed but failed (error response).
+    pub fn record_request_error(&self) {
+        self.lock().request_errors += 1;
+    }
+
+    /// Counts a backpressure (`retry`) response.
+    pub fn record_retry(&self) {
+        self.lock().retries += 1;
+    }
+
+    /// Counts a request shed by class under overload (also answered
+    /// `retry`, but before reaching the job queue, so it counts as a
+    /// retry too).
+    pub fn record_shed(&self) {
+        let mut inner = self.lock();
+        inner.shed += 1;
+        inner.retries += 1;
+    }
+
+    /// Records one executed job's service latency in microseconds.
+    pub fn record_latency_us(&self, us: u64) {
+        self.lock().latency_us.record(us);
+    }
+
+    /// Merges the CPI stack of one **computed** (non-cached) simulation.
+    /// Cache hits skip the simulation, so they add nothing here — the
+    /// stack attributes the cycles this server actually simulated.
+    pub fn merge_cpi(&self, cpi: &CpiStack) {
+        self.lock().cpi.merge(cpi);
+    }
+
+    /// The latency histogram of executed jobs (host time).
+    pub fn latency_us(&self) -> Histogram {
+        self.lock().latency_us.clone()
+    }
+
+    /// The merged CPI stack of every computed simulation.
+    pub fn cpi(&self) -> CpiStack {
+        self.lock().cpi
+    }
+
+    /// Renders the service counters as the leading fields of the `stats`
+    /// and `metrics` documents: `requests` (by kind, sorted),
+    /// `protocol_errors`, `request_errors`, `retries`, `shed`.
+    pub fn counters_json(&self) -> Vec<(String, Json)> {
+        let inner = self.lock();
+        let requests =
+            inner.requests.iter().map(|(k, n)| ((*k).to_string(), Json::Int(*n))).collect();
+        vec![
+            ("requests".into(), Json::Obj(requests)),
+            ("protocol_errors".into(), Json::Int(inner.protocol_errors)),
+            ("request_errors".into(), Json::Int(inner.request_errors)),
+            ("retries".into(), Json::Int(inner.retries)),
+            ("shed".into(), Json::Int(inner.shed)),
+        ]
+    }
+
+    /// Renders the span aggregate: `spans`, `status`, `phases` (lifetime
+    /// order), `classes` (sorted), `events` (sorted), `conserved` — the
+    /// `trace` block of the `metrics` document. See the module docs for
+    /// the determinism contract.
     pub fn to_json(&self) -> Json {
         let inner = self.lock();
         let status = inner.status.iter().map(|(k, n)| ((*k).to_string(), Json::Int(*n))).collect();
@@ -129,16 +216,13 @@ impl Registry {
             .map(|(k, h)| ((*k).to_string(), hist_summary_json(h)))
             .collect();
         let events = inner.events.iter().map(|(k, n)| (k.clone(), Json::Int(*n))).collect();
-        let counts_ok = inner.phases.iter().all(|h| h.total() == inner.spans);
-        let phase_sum: u128 = inner.phases.iter().map(Histogram::sum).sum();
-        let class_sum: u128 = inner.classes.values().map(Histogram::sum).sum();
         Json::Obj(vec![
             ("spans".into(), Json::Int(inner.spans)),
             ("status".into(), Json::Obj(status)),
             ("phases".into(), Json::Obj(phases)),
             ("classes".into(), Json::Obj(classes)),
             ("events".into(), Json::Obj(events)),
-            ("conserved".into(), Json::Bool(counts_ok && phase_sum == class_sum)),
+            ("conserved".into(), Json::Bool(inner.conserved())),
         ])
     }
 }

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# Every crate but braid-bench is a default member, so this runs each crate's
+# unit, integration and doc tests, the braidd/braid-loadgen smokes of
+# tests/daemon.rs included.
 echo "==> cargo test -q"
 cargo test -q
 
@@ -15,21 +18,6 @@ cargo test -q
 # compile it; build and test it here against the crates it depends on.
 echo "==> cargo test -q --manifest-path braid-perf/Cargo.toml"
 cargo test --offline -q --manifest-path braid-perf/Cargo.toml
-
-echo "==> cargo test -q -p braid-sweep"
-cargo test -q -p braid-sweep
-
-echo "==> cargo test -q -p braid-check"
-cargo test -q -p braid-check
-
-echo "==> cargo test -q -p braid-obs"
-cargo test -q -p braid-obs
-
-echo "==> cargo test -q -p braid-serve"
-cargo test -q -p braid-serve
-
-echo "==> cargo test -q -p braid-trace"
-cargo test -q -p braid-trace
 
 echo "==> functional-tier differential suite (release: 10x throughput floor armed)"
 cargo test --release -q --test functional_tier
@@ -120,12 +108,6 @@ if [ "$capped_ms" -gt $(( 3 * free_ms )) ]; then
 fi
 echo "bounded-memory smoke OK (sampled: ${capped_ms} ms capped, ${free_ms} ms uncapped)"
 
-echo "==> cargo test -q -p braid-analyze"
-cargo test -q -p braid-analyze
-
-echo "==> cargo test -q -p braid-lang -p braid-tracein"
-cargo test -q -p braid-lang -p braid-tracein
-
 echo "==> braidc check over the kernel suite"
 for kernel in fig2_life dot_product stencil pointer_chase histogram matmul crc_mix partition; do
   ./target/release/braidc check "@$kernel"
@@ -192,142 +174,6 @@ pipeview_log="$(mktemp)"
 cargo run --release --bin braidsim -- braid @dot_product --pipeview "$pipeview_log"
 ./target/release/braidsim check-kanata "$pipeview_log"
 rm -f "$pipeview_log"
-
-echo "==> serve smoke (braidd + braid-loadgen verify + clean drain)"
-braidd_log="$(mktemp)"
-./target/release/braidd --addr 127.0.0.1:0 --threads 2 > "$braidd_log" &
-braidd_pid=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$braidd_log" && break
-  sleep 0.1
-done
-serve_addr="$(awk '/listening on/{print $NF}' "$braidd_log")"
-if [ -z "$serve_addr" ]; then
-  echo "braidd never came up:" >&2
-  cat "$braidd_log" >&2
-  kill "$braidd_pid" 2>/dev/null || true
-  exit 1
-fi
-# --verify replays the mix on one connection and fails on any byte
-# difference; the daemon must then drain and exit 0 on its own.
-loadgen_out="$(./target/release/braid-loadgen --addr "$serve_addr" \
-  --connections 2 --requests 50 --seed 7 --verify --shutdown)"
-echo "$loadgen_out"
-wait "$braidd_pid"
-grep -q "drained and stopped" "$braidd_log"
-echo "$loadgen_out" | grep -q "byte-identical"
-echo "$loadgen_out" | grep -Eq "cache: [1-9][0-9]* hits"
-rm -f "$braidd_log"
-
-echo "==> serve metrics smoke (phase conservation + latency percentiles live)"
-metrics_log="$(mktemp)"
-./target/release/braidd --addr 127.0.0.1:0 --threads 2 > "$metrics_log" &
-metrics_pid=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$metrics_log" && break
-  sleep 0.1
-done
-metrics_addr="$(awk '/listening on/{print $NF}' "$metrics_log")"
-if [ -z "$metrics_addr" ]; then
-  echo "metrics braidd never came up:" >&2
-  cat "$metrics_log" >&2
-  kill "$metrics_pid" 2>/dev/null || true
-  exit 1
-fi
-# Seeded traffic, then the JSON report: the client-side latency summary
-# must carry a p99 field with samples behind it.
-metrics_json="$(./target/release/braid-loadgen --addr "$metrics_addr" \
-  --connections 2 --requests 30 --seed 11 --json)"
-echo "$metrics_json" | grep -q '"p99_us":'
-echo "$metrics_json" | grep -q '"verified":true'
-# The server's metrics document must report the phase decomposition as
-# conserved (every span accounted for, phase time == class time).
-metrics_doc="$(exec 3<>"/dev/tcp/${metrics_addr%:*}/${metrics_addr##*:}" \
-  && printf '{"id":1,"kind":"metrics"}\n' >&3 && head -n 1 <&3 && exec 3<&-)"
-echo "$metrics_doc" | grep -q '"conserved":true'
-echo "$metrics_doc" | grep -q '"queue_wait":{"count":'
-# Drain via a second one-shot connection.
-(exec 3<>"/dev/tcp/${metrics_addr%:*}/${metrics_addr##*:}" \
-  && printf '{"id":2,"kind":"shutdown"}\n' >&3 && head -n 1 <&3 > /dev/null)
-wait "$metrics_pid"
-grep -q "drained and stopped" "$metrics_log"
-rm -f "$metrics_log"
-echo "metrics smoke OK (conserved phases, p99 latency reported)"
-
-echo "==> chaos smoke (braidd under fault injection, loadgen must still verify)"
-chaos_log="$(mktemp)"
-chaos_cache="$(mktemp -d)"
-./target/release/braidd --addr 127.0.0.1:0 --threads 2 \
-  --cache-dir "$chaos_cache" \
-  --chaos 'seed=7,torn=0.08,drop=0.04,stall=0.04,stall_ms=5,panic=0.03,corrupt=0.12,enospc=0' \
-  > "$chaos_log" &
-chaos_pid=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$chaos_log" && break
-  sleep 0.1
-done
-chaos_addr="$(awk '/listening on/{print $NF}' "$chaos_log")"
-if [ -z "$chaos_addr" ]; then
-  echo "chaos braidd never came up:" >&2
-  cat "$chaos_log" >&2
-  kill "$chaos_pid" 2>/dev/null || true
-  exit 1
-fi
-# Under every armed fault class the resilient client must absorb the
-# damage: --verify still demands byte-identical responses.
-chaos_out="$(./target/release/braid-loadgen --addr "$chaos_addr" \
-  --connections 3 --requests 60 --seed 9 --timeout-ms 30000 --attempts 32 \
-  --verify --shutdown)"
-echo "$chaos_out"
-wait "$chaos_pid"
-grep -q "drained and stopped" "$chaos_log"
-echo "$chaos_out" | grep -q "byte-identical"
-rm -rf "$chaos_log" "$chaos_cache"
-
-echo "==> crash-recovery smoke (kill -9 mid-write, warm hits must stay byte-identical)"
-crash_cache="$(mktemp -d)"
-crash_log="$(mktemp)"
-./target/release/braidd --addr 127.0.0.1:0 --threads 2 --cache-dir "$crash_cache" \
-  > "$crash_log" &
-crash_pid=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$crash_log" && break
-  sleep 0.1
-done
-crash_addr="$(awk '/listening on/{print $NF}' "$crash_log")"
-# Populate the disk tier, then kill the daemon without ceremony while it
-# may still be writing.
-cold_out="$(./target/release/braid-loadgen --addr "$crash_addr" \
-  --connections 2 --requests 40 --seed 5)"
-cold_digest="$(echo "$cold_out" | awk '/^response digest/{print $NF}')"
-kill -9 "$crash_pid"
-wait "$crash_pid" 2>/dev/null || true
-# Restart over the same directory: the same mix must verify (cache hits
-# included, byte-identical) and no corrupted entry may be served — any
-# torn leftovers are swept or quarantined, visible in loadgen's summary.
-./target/release/braidd --addr 127.0.0.1:0 --threads 2 --cache-dir "$crash_cache" \
-  > "$crash_log" &
-crash_pid=$!
-for _ in $(seq 1 100); do
-  grep -q "listening on" "$crash_log" && break
-  sleep 0.1
-done
-crash_addr="$(awk '/listening on/{print $NF}' "$crash_log")"
-crash_out="$(./target/release/braid-loadgen --addr "$crash_addr" \
-  --connections 2 --requests 40 --seed 5 --verify --shutdown)"
-echo "$crash_out"
-wait "$crash_pid"
-grep -q "drained and stopped" "$crash_log"
-echo "$crash_out" | grep -q "byte-identical"
-echo "$crash_out" | grep -Eq "cache: [1-9][0-9]* hits"
-# The warm run's responses must match the pre-crash run byte for byte:
-# same seed, same mix, same digest — served largely from the disk tier.
-warm_digest="$(echo "$crash_out" | awk '/^response digest/{print $NF}')"
-if [ -z "$cold_digest" ] || [ "$cold_digest" != "$warm_digest" ]; then
-  echo "crash-recovery digest mismatch: cold=$cold_digest warm=$warm_digest" >&2
-  exit 1
-fi
-rm -rf "$crash_log" "$crash_cache"
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

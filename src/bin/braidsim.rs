@@ -77,7 +77,7 @@ use braid::core::{NoopObserver, SamplingConfig, Tier};
 use braid::isa::asm::assemble;
 use braid::isa::Program;
 use braid::obs::{check_kanata, metrics_json, report_json, write_kanata, PipelineObserver};
-use braid::sweep::CoreModel;
+use braid::sweep::{CoreModel, MAX_BEUS, MAX_WIDTH, MAX_WINDOW};
 use braid::workloads::MAX_SCALE;
 
 struct Options {
@@ -121,6 +121,17 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ExitCod
         eprintln!("braidsim: {flag}: bad value {value:?}");
         usage()
     })
+}
+
+/// Parses the value of a flag that sizes the simulated machine; a value
+/// above `max` is a usage error, refused before a core allocates for it.
+fn parse_size(flag: &str, value: &str, max: u32) -> Result<u32, ExitCode> {
+    let n: u32 = parse_num(flag, value)?;
+    if n > max {
+        eprintln!("braidsim: {flag}: {n} exceeds the maximum {max}");
+        return Err(usage());
+    }
+    Ok(n)
 }
 
 /// The `check-kanata` subcommand: validate a pipeline-viewer log.
@@ -336,7 +347,7 @@ fn run_trace_replay(args: &[String]) -> ExitCode {
             "--report-json" => report_json = true,
             "--width" if i + 1 < args.len() => {
                 i += 1;
-                width = match parse_num("--width", &args[i]) {
+                width = match parse_size("--width", &args[i], MAX_WIDTH) {
                     Ok(v) => v,
                     Err(code) => return code,
                 };
@@ -438,12 +449,17 @@ fn report(label: &str, r: &SimReport) {
     println!("{r}");
 }
 
-/// Parses a comma-separated numeric axis like `4,8,16`.
-fn parse_axis(flag: &str, value: &str) -> Result<Vec<u32>, String> {
+/// Parses a comma-separated numeric axis like `4,8,16` whose values may
+/// not exceed `max`.
+fn parse_axis(flag: &str, value: &str, max: u32) -> Result<Vec<u32>, String> {
     value
         .split(',')
         .filter(|s| !s.is_empty())
-        .map(|s| s.parse::<u32>().map_err(|_| format!("{flag}: bad value {s:?}")))
+        .map(|s| match s.parse::<u32>() {
+            Ok(n) if n <= max => Ok(n),
+            Ok(n) => Err(format!("{flag}: {n} exceeds the maximum {max}")),
+            Err(_) => Err(format!("{flag}: bad value {s:?}")),
+        })
         .collect()
 }
 
@@ -476,11 +492,19 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
                 i += 1;
                 match (flag, args.get(i)) {
                     (_, None) => Err(format!("{flag} needs a value")),
-                    ("--widths", Some(v)) => parse_axis(flag, v).map(|a| spec.widths = a),
-                    ("--beus", Some(v)) => parse_axis(flag, v).map(|a| spec.beus = a),
-                    ("--fifos", Some(v)) => parse_axis(flag, v).map(|a| spec.fifo_depths = a),
-                    ("--windows", Some(v)) => parse_axis(flag, v).map(|a| spec.windows = a),
-                    ("--bypasses", Some(v)) => parse_axis(flag, v).map(|a| spec.bypasses = a),
+                    ("--widths", Some(v)) => {
+                        parse_axis(flag, v, MAX_WIDTH).map(|a| spec.widths = a)
+                    }
+                    ("--beus", Some(v)) => parse_axis(flag, v, MAX_BEUS).map(|a| spec.beus = a),
+                    ("--fifos", Some(v)) => {
+                        parse_axis(flag, v, u32::MAX).map(|a| spec.fifo_depths = a)
+                    }
+                    ("--windows", Some(v)) => {
+                        parse_axis(flag, v, MAX_WINDOW).map(|a| spec.windows = a)
+                    }
+                    ("--bypasses", Some(v)) => {
+                        parse_axis(flag, v, u32::MAX).map(|a| spec.bypasses = a)
+                    }
                     ("--workloads", Some(v)) => {
                         spec.workloads = v.split(',').map(String::from).collect();
                         Ok(())
@@ -747,7 +771,7 @@ fn main() -> ExitCode {
                 let v = &args[i];
                 let s = &mut opts.sampling;
                 let parsed = match flag {
-                    "--width" => parse_num(flag, v).map(|n| opts.width = n),
+                    "--width" => parse_size(flag, v, MAX_WIDTH).map(|n| opts.width = n),
                     "--fuel" => parse_num(flag, v).map(|n| opts.fuel = n),
                     "--sample-period" => parse_num(flag, v).map(|n| s.period = n),
                     "--sample-warmup" => parse_num(flag, v).map(|n| s.warmup = n),

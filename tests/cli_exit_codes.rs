@@ -213,6 +213,33 @@ fn braidsim_sweep_scale_out_of_range_exits_two() {
 }
 
 #[test]
+fn braidsim_machine_sizes_out_of_range_exit_two() {
+    let cases: [&[&str]; 6] = [
+        &["ooo", "@dot_product", "--width", "1000000"],
+        &["all", "@dot_product", "--width", "65"],
+        &["trace-replay", "missing.btrace", "--width", "4294967295"],
+        &["sweep", "--widths", "4,65"],
+        &["sweep", "--windows", "1000000000"],
+        &["sweep", "--beus", "100000000"],
+    ];
+    for args in cases {
+        let out = braidsim().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let text = String::from_utf8_lossy(&out.stderr);
+        let refused = text.contains("exceeds the maximum") && text.contains("usage:");
+        assert!(refused, "{args:?}: {text}");
+    }
+    // The largest accepted values run.
+    assert_eq!(exit_code(braidsim().args(["all", "@dot_product", "--width", "64"])), 0);
+    let out = tmp("max-sizes.json");
+    let sweep = [
+        "sweep", "--name", "cli-max-sizes", "--workloads", "dot_product", "--widths", "64",
+        "--windows", "4096", "--beus", "64", "--out",
+    ];
+    assert_eq!(exit_code(braidsim().args(sweep).arg(&out)), 0);
+}
+
+#[test]
 fn braidsim_degenerate_sampling_exits_two() {
     for flag in ["--sample-period", "--sample-len"] {
         let out = braidsim()
