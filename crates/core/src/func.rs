@@ -10,6 +10,12 @@
 //! halt checks. The target (asserted in `tests/functional_tier.rs`) is
 //! ≥10× the instruction throughput of the in-order timing core.
 //!
+//! Its memory is hybrid dense/sparse: addresses below 64 MiB live in one
+//! flat vector, higher ones in the golden model's paged [`Memory`], where
+//! a word within one 4 KiB page costs one page lookup and one copy. The
+//! synthetic suite's arrays sit at 256 MiB and up, so their loads and
+//! stores take the sparse path (DESIGN.md §13).
+//!
 //! On top of the fast interpreter sits the **sampled-timing driver**
 //! (reached through [`run_tier`](crate::processor::run_tier)): fast-forward
 //! functionally — warming a memory hierarchy architecturally as every
@@ -308,13 +314,17 @@ impl ArchSnapshot {
 // ------------------------------------------------------------ fast memory --
 
 /// Flat boundary: addresses below this live in one contiguous vector (one
-/// bounds check per access); higher and wrapping addresses fall back to the
-/// sparse paged [`Memory`]. Page-aligned so a page never straddles the
-/// boundary.
+/// bounds check per access); higher addresses live in the sparse paged
+/// [`Memory`] (one page lookup per access within a page). Page-aligned so
+/// a page never straddles the boundary. Raising it or moving the
+/// synthetic arrays below it would change the addresses the timing cores
+/// see, and with them every cycle count.
 const LOW_CAP: u64 = 1 << 26; // 64 MiB
 
 /// Hybrid memory for the fast tier: dense low range, sparse high range.
-/// Semantics are byte-identical to [`Memory`] (zero-filled, wrapping).
+/// Semantics are byte-identical to [`Memory`] (zero-filled, wrapping). A
+/// word that straddles `LOW_CAP` or wraps past `u64::MAX` goes byte by
+/// byte, since its bytes live in both ranges.
 #[derive(Debug, Clone, Default)]
 struct FlatMem {
     low: Vec<u8>,
@@ -361,6 +371,8 @@ impl FlatMem {
                 let take = N.min(self.low.len() - a);
                 out[..take].copy_from_slice(&self.low[a..a + take]);
             }
+        } else if (LOW_CAP..=u64::MAX - (N as u64 - 1)).contains(&addr) {
+            out = self.high.read_bytes(addr);
         } else {
             for (i, b) in out.iter_mut().enumerate() {
                 *b = self.read_u8(addr.wrapping_add(i as u64));
@@ -378,6 +390,8 @@ impl FlatMem {
                 self.grow_low(a + N);
             }
             self.low[a..a + N].copy_from_slice(&bytes);
+        } else if (LOW_CAP..=u64::MAX - (N as u64 - 1)).contains(&addr) {
+            self.high.write_bytes(addr, &bytes);
         } else {
             for (i, &b) in bytes.iter().enumerate() {
                 self.write_u8(addr.wrapping_add(i as u64), b);
@@ -386,7 +400,8 @@ impl FlatMem {
     }
 
     /// Writes `bytes` at `addr` (wrapping address space): one copy when
-    /// they fit the flat low range, as every program's data segments do.
+    /// they fit the flat low range, page by page when they lie wholly in
+    /// the sparse high range (the synthetic suite's arrays).
     fn write_slice(&mut self, addr: u64, bytes: &[u8]) {
         match addr.checked_add(bytes.len() as u64) {
             Some(end) if end <= LOW_CAP => {
@@ -396,6 +411,7 @@ impl FlatMem {
                 }
                 self.low[a..end].copy_from_slice(bytes);
             }
+            Some(_) if addr >= LOW_CAP => self.high.write_bytes(addr, bytes),
             _ => {
                 for (i, &b) in bytes.iter().enumerate() {
                     self.write_u8(addr.wrapping_add(i as u64), b);

@@ -10,15 +10,22 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use braid_isa::{Opcode, Program, Reg};
 
 use crate::trace::{Trace, TraceEntry};
 
 /// Sparse byte-addressable memory backed by 4 KiB pages.
+///
+/// A read within one page costs one page lookup and one slice copy; a
+/// read that straddles a page boundary (or wraps past `u64::MAX`) goes
+/// byte by byte. A write costs one lookup and one copy per page it
+/// touches, so data segments load page by page. The page map hashes page
+/// indices with `PageHasher`; nothing iterates it in map order.
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE]>, BuildHasherDefault<PageHasher>>,
 }
 
 /// Memory page granularity in bytes (also the [`crate::func::ArchSnapshot`]
@@ -26,6 +33,32 @@ pub struct Memory {
 pub const PAGE_SIZE: usize = 4096;
 
 const PAGE: usize = PAGE_SIZE;
+
+/// A deterministic hasher for page indices: one folded 64×64→128-bit
+/// multiply, so both the low bits (bucket) and the high bits (tag) of the
+/// hash depend on every bit of the index. SipHash's flood resistance buys
+/// nothing here: the simulated program chooses the addresses, and it is
+/// either a built-in workload (all braidd runs) or the local user's own.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ (p >> 64) as u64;
+    }
+}
 
 impl Memory {
     /// Creates empty (zero-filled) memory.
@@ -43,26 +76,40 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr / PAGE as u64)
-            .or_insert_with(|| Box::new([0; PAGE]));
-        page[(addr % PAGE as u64) as usize] = value;
+        self.page_mut(addr)[(addr % PAGE as u64) as usize] = value;
+    }
+
+    /// The page holding `addr`, zero-filled on first touch.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE] {
+        self.pages.entry(addr / PAGE as u64).or_insert_with(|| Box::new([0; PAGE]))
     }
 
     /// Reads `N` little-endian bytes (the address space wraps).
     pub fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
         let mut out = [0; N];
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
+        let off = (addr % PAGE as u64) as usize;
+        if off + N <= PAGE {
+            if let Some(page) = self.pages.get(&(addr / PAGE as u64)) {
+                out.copy_from_slice(&page[off..off + N]);
+            }
+        } else {
+            for (i, b) in out.iter_mut().enumerate() {
+                *b = self.read_u8(addr.wrapping_add(i as u64));
+            }
         }
         out
     }
 
-    /// Writes `N` little-endian bytes (the address space wraps).
+    /// Writes `bytes` from `addr` up (the address space wraps): one page
+    /// lookup and one copy per page the bytes touch.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+        let (mut addr, mut rest) = (addr, bytes);
+        while !rest.is_empty() {
+            let off = (addr % PAGE as u64) as usize;
+            let n = rest.len().min(PAGE - off);
+            self.page_mut(addr)[off..off + n].copy_from_slice(&rest[..n]);
+            addr = addr.wrapping_add(n as u64);
+            rest = &rest[n..];
         }
     }
 

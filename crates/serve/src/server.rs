@@ -465,8 +465,10 @@ fn handle_connection(
                                 // Contained by the pool (counted in
                                 // `panics`); the response never arrives
                                 // and the client's per-request timeout
-                                // must recover.
-                                panic!("chaos: injected worker panic");
+                                // must recover. `resume_unwind` skips
+                                // the panic hook, so an injected panic
+                                // prints nothing.
+                                std::panic::resume_unwind(Box::new("chaos: injected worker panic"));
                             }
                             let started = Instant::now();
                             let line = execute(&job_shared, id, &req, &mut span);
@@ -784,7 +786,7 @@ fn run_request(shared: &Shared, req: &Request, span: &mut RequestSpan) -> Result
 /// default), with the perfect-hardware switch and the simulated-cycle
 /// deadline applied.
 fn paper_core(core: CoreModel, width: u32, perfect: bool, deadline: u64) -> CoreConfig {
-    let mut cfg = core.paper_config(if width > 0 { width } else { 8 }, perfect);
+    let mut cfg = core.paper_config(width, perfect);
     cfg.common_mut().deadline_cycles = deadline;
     cfg
 }

@@ -74,8 +74,10 @@ impl CoreModel {
 
     /// The paper configuration of this core at `width` (the builders'
     /// `paper_wide`), with the perfect front end and caches of Figure 1
-    /// when `perfect` is set. Width 8 is each core's paper default.
+    /// when `perfect` is set. Width 8 is each core's paper default, and
+    /// width 0 means that default on every front end.
     pub fn paper_config(self, width: u32, perfect: bool) -> CoreConfig {
+        let width = if width == 0 { 8 } else { width };
         let mut core = match self {
             CoreModel::InOrder => CoreConfig::InOrder(InOrderConfig::paper_wide(width)),
             CoreModel::DepSteer => CoreConfig::Dep(DepConfig::paper_wide(width)),
@@ -330,6 +332,7 @@ mod tests {
         ];
         for (core, default) in CoreModel::ALL.into_iter().zip(defaults) {
             assert_eq!(format!("{:?}", core.paper_config(8, false)), default, "{core}");
+            assert_eq!(format!("{:?}", core.paper_config(0, false)), default, "{core} at 0");
         }
     }
 

@@ -357,7 +357,7 @@ fn core_config(p: &GridPoint) -> CoreConfig {
             *field = value;
         }
     }
-    let mut core = p.core.paper_config(if p.width > 0 { p.width } else { 8 }, p.perfect);
+    let mut core = p.core.paper_config(p.width, p.perfect);
     // The window axis is the in-flight limit everywhere but on the braid
     // machine, where it is the BEU scheduling window.
     if p.window > 0 && !core.is_braid() {

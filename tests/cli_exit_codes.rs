@@ -240,6 +240,20 @@ fn braidsim_machine_sizes_out_of_range_exit_two() {
 }
 
 #[test]
+fn braidsim_zero_width_runs_the_paper_default() {
+    let run = |width: &str| {
+        let out = braidsim().args(["ooo", "@dot_product", "--width", width]).output();
+        let out = out.expect("runs");
+        assert_eq!(out.status.code(), Some(0), "--width {width}");
+        // Host throughput lines differ from run to run.
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let lines = stdout.lines().filter(|l| !l.trim_start().starts_with("host:"));
+        lines.collect::<Vec<_>>().join("\n")
+    };
+    assert_eq!(run("0"), run("8"));
+}
+
+#[test]
 fn braidsim_degenerate_sampling_exits_two() {
     for flag in ["--sample-period", "--sample-len"] {
         let out = braidsim()

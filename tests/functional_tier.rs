@@ -8,8 +8,11 @@
 //!    retired count) must be byte-identical, for both the original and
 //!    the braid-translated program.
 //! 2. **Kernel differential** — the same byte-level comparison over the
-//!    eight hand-written kernels, plus lockstep-validated sampled runs
-//!    (snapshots compared at every interval boundary inside the driver).
+//!    eight hand-written kernels, the 26 synthetic suite programs (whose
+//!    arrays live in the fast tier's sparse high range) and a hand-built
+//!    program of word accesses across page, flat/sparse and wrap
+//!    boundaries, plus lockstep-validated sampled runs (snapshots
+//!    compared at every interval boundary inside the driver).
 //! 3. **Golden sampled-IPC fixtures** — `tests/golden/sampled/<kernel>.golden`
 //!    pins the sampled tier's estimate for every kernel × core at the
 //!    default window: estimated IPC, exact IPC (both in deterministic
@@ -30,7 +33,8 @@ use braid::core::func::{run_func, FastMachine, FuncTable};
 use braid::core::functional::{ExecError, Machine};
 use braid::core::processor::{run_tier, CoreConfig, TierReport};
 use braid::core::{ArchSnapshot, SamplingConfig, Tier, TraceEntry};
-use braid::workloads::{kernel_suite, loopnest_suite};
+use braid::isa::{AliasClass, Inst, Opcode, Program, Reg};
+use braid::workloads::{kernel_suite, loopnest_suite, suite};
 use braid_prng::Rng;
 
 mod common;
@@ -106,6 +110,91 @@ fn fast_interpreter_matches_reference_on_kernels() {
             .unwrap_or_else(|e| panic!("{}: translate: {e}", w.name));
         assert_executors_agree(&t.program, &format!("{} (braid)", w.name));
     }
+}
+
+/// Ring 2a: the 26 synthetic suite programs, original and
+/// braid-translated. Their arrays sit at 256 MiB and up, above the fast
+/// tier's flat range, so these runs reach its sparse high range.
+#[test]
+fn fast_interpreter_matches_reference_on_the_synthetic_suite() {
+    let programs = suite(0.05);
+    assert_eq!(programs.len(), 26, "the synthetic suite is 26 programs");
+    for w in programs {
+        assert_executors_agree(&w.program, &w.name);
+        let t = translate(&w.program, &TranslatorConfig::default())
+            .unwrap_or_else(|e| panic!("{}: translate: {e}", w.name));
+        assert_executors_agree(&t.program, &format!("{} (braid)", w.name));
+    }
+}
+
+/// A program that stores and loads 4- and 8-byte words around four
+/// boundaries: the middle of a page above the flat range, a page boundary
+/// above it, the flat range's own end (64 MiB), and the top of the
+/// address space, where an access wraps to address 0. Around each
+/// boundary `b` it first reads untouched memory, then stores a quad at
+/// `b - 4` and a long at `b - 2` (both straddling `b`), and reads back a
+/// quad at `b - 4`, longs at `b - 2` and `b - 6`, and a quad at `b`.
+fn sparse_boundary_program() -> braid::isa::Program {
+    let r = |n| Reg::int(n).expect("in range");
+    let alu = |op, a, b, d| Inst::alu(op, r(a), r(b), r(d)).expect("shape");
+    let alui = |op, s, imm, d| Inst::alui(op, r(s), imm, r(d)).expect("shape");
+    let load = |op, base, off, d| Inst::load(op, r(base), off, r(d), AliasClass::Unknown);
+    let store = |op, v, base, off| Inst::store(op, r(v), r(base), off, AliasClass::Unknown);
+    let mut insts = vec![
+        // r1 = 64 MiB (the flat range's end), r2 = a page boundary above
+        // it, r3 = the middle of a page above it; r0 reads zero, so
+        // r0 + off wraps past u64::MAX for a negative off.
+        alui(Opcode::Addi, 0, 1, 1),
+        alui(Opcode::Slli, 1, 26, 1),
+        alui(Opcode::Addi, 1, 0x5000, 2),
+        alui(Opcode::Addi, 1, 0x9800, 3),
+        // r10, r11: values with no zero byte.
+        alui(Opcode::Addi, 0, 0x7AB3, 10),
+        alu(Opcode::Mul, 10, 10, 10),
+        alu(Opcode::Mul, 10, 10, 10),
+        alui(Opcode::Ori, 10, 0x0101, 10),
+        alui(Opcode::Slli, 10, 13, 11),
+        alu(Opcode::Xor, 11, 10, 11),
+        alui(Opcode::Ori, 11, 0x3C5, 11),
+    ];
+    let mut dest = 11;
+    for base in [3, 2, 1, 0] {
+        let mut dests = || {
+            dest += 1;
+            dest
+        };
+        let accesses = [
+            load(Opcode::Ldq, base, -4, dests()),
+            store(Opcode::Stq, 10, base, -4),
+            store(Opcode::Stl, 11, base, -2),
+            load(Opcode::Ldq, base, -4, dests()),
+            load(Opcode::Ldl, base, -2, dests()),
+            load(Opcode::Ldl, base, -6, dests()),
+            load(Opcode::Ldq, base, 0, dests()),
+        ];
+        insts.extend(accesses.map(|i| i.expect("shape")));
+    }
+    assert!(dest < 32, "one register per load");
+    insts.push(Inst::halt());
+    Program::from_insts("sparse-boundaries", insts)
+}
+
+/// Ring 2a: word accesses in the sparse range, across page boundaries,
+/// across the flat/sparse boundary and across the wrap at `u64::MAX`.
+#[test]
+fn fast_interpreter_matches_reference_on_sparse_boundaries() {
+    let p = sparse_boundary_program();
+    assert_executors_agree(&p, "sparse boundaries");
+    let t = translate(&p, &TranslatorConfig::default())
+        .unwrap_or_else(|e| panic!("sparse boundaries: translate: {e}"));
+    assert_executors_agree(&t.program, "sparse boundaries (braid)");
+    // Both ends of the wrapped quad landed (its middle bytes were
+    // overwritten by the long).
+    let mut m = Machine::new(&p);
+    m.run(&p, FUEL).expect("runs");
+    let quad = 0x7AB3u64.pow(4) | 0x0101;
+    assert_eq!(m.mem.read_u8(u64::MAX - 3), quad as u8, "low byte below the wrap");
+    assert_eq!(m.mem.read_u8(3), (quad >> 56) as u8, "high byte past the wrap");
 }
 
 /// Records `program`'s trace on the fast interpreter in chunks of `chunk`

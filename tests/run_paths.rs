@@ -7,7 +7,8 @@
 //! * `braidsim all @dot_product` stdout at the default width, at
 //!   `--width 4` and with `--perfect`, minus the `host:` lines (host
 //!   throughput is not deterministic);
-//! * the exit code and stderr of `braidsim braid @dot_product --width 0`;
+//! * `braidsim all @dot_product --width 0`, which must match the default
+//!   width's fixture (width 0 is the 8-wide paper default everywhere);
 //! * braidd's response line for every core × `width` {0, 4} × `perfect`
 //!   {false, true}.
 //!
@@ -17,7 +18,6 @@
 //! BRAID_UPDATE_GOLDEN=1 cargo test --test run_paths
 //! ```
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -87,12 +87,11 @@ fn braidsim_full_tier_output_is_pinned() {
 }
 
 #[test]
-fn braidsim_zero_width_is_a_config_failure() {
-    let out = braidsim(&["braid", "@dot_product", "--width", "0"]);
-    let mut current = String::new();
-    let _ = writeln!(current, "exit {}", out.status.code().expect("has exit code"));
-    current.push_str(&String::from_utf8(out.stderr).expect("utf-8 stderr"));
-    check_golden("braidsim_width0.golden", &current);
+fn braidsim_zero_width_is_the_paper_default() {
+    check_golden(
+        "braidsim_all.golden",
+        &full_tier_stdout(&["all", "@dot_product", "--width", "0"]),
+    );
 }
 
 #[test]
