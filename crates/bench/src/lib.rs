@@ -3,7 +3,7 @@
 //! Regenerates every table and figure of the paper's evaluation (see
 //! DESIGN.md §5 for the experiment index). The `exp` binary drives the
 //! experiments; this library holds the shared machinery: table formatting,
-//! workload/trace caching, paper reference values, and the experiment
+//! workload preparation, paper reference values, and the experiment
 //! implementations themselves.
 
 #![forbid(unsafe_code)]
@@ -14,8 +14,8 @@ pub mod paper;
 pub mod table;
 
 use braid_compiler::{translate, Translation, TranslatorConfig};
-use braid_core::functional::Machine;
-use braid_core::trace::Trace;
+use braid_core::func::run_func;
+use braid_isa::Program;
 use braid_workloads::Workload;
 
 /// The dynamic-length scale factor, from `BRAID_SCALE` (default 1.0 ≈ 60k
@@ -24,43 +24,37 @@ pub fn scale() -> f64 {
     std::env::var("BRAID_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
 }
 
-/// A workload prepared for simulation: original and braid-translated
-/// programs plus their committed traces.
+/// A workload prepared for simulation: the original program and its braid
+/// translation. No trace is kept; every run streams its own.
 pub struct Prepared {
     /// The source workload.
     pub workload: Workload,
-    /// Trace of the original program.
-    pub trace: Trace,
     /// The braid translation of the program.
     pub translation: Translation,
-    /// Trace of the translated program.
-    pub braid_trace: Trace,
 }
 
-/// Traces a workload once for reuse across configurations.
+/// Translates a workload once for reuse across configurations.
 ///
 /// # Panics
 ///
-/// Panics if the workload fails to execute — suite workloads are expected
-/// to be well-formed.
+/// Panics if the workload fails to execute or translate, or if the
+/// translation changes the dynamic instruction count — suite workloads are
+/// expected to be well-formed.
 pub fn prepare(workload: Workload) -> Prepared {
-    let mut m = Machine::new(&workload.program);
-    let trace = m
-        .run(&workload.program, workload.fuel)
-        .unwrap_or_else(|e| panic!("{}: functional run failed: {e}", workload.name));
     let translation = translate(&workload.program, &TranslatorConfig::default())
         .unwrap_or_else(|e| panic!("{}: translation failed: {e}", workload.name));
-    let mut m2 = Machine::new(&translation.program);
-    let braid_trace = m2
-        .run(&translation.program, workload.fuel)
-        .unwrap_or_else(|e| panic!("{}: braid functional run failed: {e}", workload.name));
+    let executed = |program: &Program| {
+        run_func(program, workload.fuel)
+            .unwrap_or_else(|e| panic!("{}: functional run failed: {e}", workload.name))
+            .instructions
+    };
     assert_eq!(
-        trace.len(),
-        braid_trace.len(),
+        executed(&workload.program),
+        executed(&translation.program),
         "{}: translation changed the dynamic instruction count",
         workload.name
     );
-    Prepared { workload, trace, translation, braid_trace }
+    Prepared { workload, translation }
 }
 
 /// Prepares the whole 26-benchmark suite at the given scale.
@@ -94,10 +88,10 @@ mod tests {
     }
 
     #[test]
-    fn prepare_traces_match() {
-        let w = braid_workloads::by_name("gap", 0.02).unwrap();
-        let p = prepare(w);
-        assert!(!p.trace.is_empty());
-        assert_eq!(p.trace.len(), p.braid_trace.len());
+    fn prepare_keeps_the_dynamic_count() {
+        // `prepare` asserts the translated program executes exactly as
+        // many instructions as the original.
+        let p = prepare(braid_workloads::by_name("gap", 0.02).unwrap());
+        assert!(p.translation.stats.total_braids > 0);
     }
 }

@@ -31,5 +31,5 @@ pub mod metrics;
 pub mod record;
 
 pub use kanata::{check_kanata, write_kanata, KanataSummary};
-pub use metrics::{cpi_json, hist_json, metrics_json, report_json};
+pub use metrics::{cpi_json, hist_json, metrics_json, report_json, tier_json};
 pub use record::{InstRecord, PipelineObserver, NEVER};

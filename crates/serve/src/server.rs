@@ -88,7 +88,7 @@ use std::time::{Duration, Instant};
 
 use braid_core::processor::{run_tier, CoreConfig, RunError, TierReport};
 use braid_core::Tier;
-use braid_obs::{cpi_json, hist_json, report_json};
+use braid_obs::{cpi_json, hist_json, report_json, tier_json};
 use braid_sweep::digest::{hex, ContentDigest};
 use braid_sweep::grid::CoreModel;
 use braid_sweep::json::Json;
@@ -644,9 +644,9 @@ fn run_request(shared: &Shared, req: &Request, span: &mut RequestSpan) -> Result
                 TierReport::Sampled(r) => {
                     shared.trace.registry().merge_cpi(&r.cpi);
                     span.add_cycles(r.est_cycles);
-                    tier_payload(&w.name, *tier, &rep)
+                    tier_json(("workload", &w.name), *tier, &rep)
                 }
-                TierReport::Func(_) => tier_payload(&w.name, *tier, &rep),
+                TierReport::Func(_) => tier_json(("workload", &w.name), *tier, &rep),
             }
             .compact();
             span.mark(Phase::Execute);
@@ -789,40 +789,6 @@ fn paper_core(core: CoreModel, width: u32, perfect: bool, deadline: u64) -> Core
     let mut cfg = core.paper_config(width, perfect);
     cfg.common_mut().deadline_cycles = deadline;
     cfg
-}
-
-/// Deterministic payload for a non-full-tier simulate. Host wall-clock
-/// numbers never enter the payload: cache hits must be byte-identical to
-/// the original computation, and the loadgen verify mode digests these
-/// bytes across runs.
-fn tier_payload(workload: &str, tier: Tier, rep: &TierReport) -> Json {
-    let mut fields = vec![
-        ("workload".into(), Json::Str(workload.into())),
-        ("tier".into(), Json::Str(tier.name().into())),
-        ("instructions".into(), Json::Int(rep.instructions())),
-    ];
-    match rep {
-        TierReport::Full(_) => unreachable!("full-tier payloads are the whole report"),
-        TierReport::Func(r) => {
-            fields.push(("digest".into(), Json::Str(format!("{:016x}", r.digest))));
-        }
-        TierReport::Sampled(r) => {
-            fields.push(("est_cycles".into(), Json::Int(r.est_cycles)));
-            fields.push(("est_ipc_micro".into(), Json::Int((r.est_ipc() * 1e6).round() as u64)));
-            fields.push(("intervals".into(), Json::Int(r.intervals)));
-            fields.push(("timed_insts".into(), Json::Int(r.timed_insts)));
-            fields.push(("measured_insts".into(), Json::Int(r.measured_insts)));
-            fields.push(("measured_cycles".into(), Json::Int(r.measured_cycles)));
-            fields.push(("overhead_cycles".into(), Json::Int(r.overhead_cycles)));
-            // Only sparse runs have one, so fully windowed payloads keep
-            // their bytes.
-            if let Some(ci) = r.ci95_cycles {
-                fields.push(("ci95_cycles".into(), Json::Int(ci)));
-            }
-            fields.push(("cpi".into(), cpi_json(&r.cpi)));
-        }
-    }
-    Json::Obj(fields)
 }
 
 /// The `translate` result payload: program shape plus the paper's braid

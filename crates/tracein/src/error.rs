@@ -66,7 +66,7 @@ pub enum ReplayError {
     /// The translated program failed the static braid-contract check;
     /// the braid core refuses to run it.
     Check(Box<braid_check::CheckReport>),
-    /// Functional re-derivation of the braid-core stream failed.
+    /// Functional execution of the translated braid-core program failed.
     Exec(ExecError),
     /// Timing simulation failed (bad config or livelock).
     Sim(SimError),
@@ -82,7 +82,7 @@ impl fmt::Display for ReplayError {
             ReplayError::Trace(e) => write!(f, "unusable trace: {e}"),
             ReplayError::Translate(e) => write!(f, "braid translation failed: {e}"),
             ReplayError::Check(r) => write!(f, "braid contract violated: {r}"),
-            ReplayError::Exec(e) => write!(f, "functional re-derivation failed: {e}"),
+            ReplayError::Exec(e) => write!(f, "functional execution failed: {e}"),
             ReplayError::Sim(e) => write!(f, "timing simulation failed: {e}"),
             ReplayError::UnsupportedCore(name) => {
                 write!(f, "no replay support for core kind `{name}`")

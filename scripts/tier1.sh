@@ -164,6 +164,22 @@ fi
 rm -f "$trace_file"
 echo "trace smoke OK (cycle digest $trace_d1 stable across replays)"
 
+echo "==> exp results guard (fresh tab1 chars exceptions fig13 widthsweep = results/)"
+# exp writes results/ under the current directory, so run it at the
+# default scale in a scratch directory and compare with the committed one.
+cargo build --release -q -p braid-bench --bin exp
+exp_dir="$(mktemp -d)"
+exp_tables="tab1 chars exceptions fig13 widthsweep"
+( cd "$exp_dir" && env -u BRAID_SCALE "$OLDPWD/target/release/exp" $exp_tables > /dev/null )
+for table in $exp_tables; do
+  if ! cmp "$exp_dir/results/$table.txt" "results/$table.txt"; then
+    echo "exp guard: a fresh $table differs from results/$table.txt" >&2
+    exit 1
+  fi
+done
+rm -rf "$exp_dir"
+echo "exp guard OK ($exp_tables match results/)"
+
 echo "==> sweep smoke (tiny grid, 2 threads)"
 cargo run --release --bin braidsim -- sweep --name tier1-smoke --threads 2 \
   --workloads dot_product,fig2_life --cores inorder,braid

@@ -76,7 +76,9 @@ use braid::core::report::SimReport;
 use braid::core::{NoopObserver, SamplingConfig, Tier};
 use braid::isa::asm::assemble;
 use braid::isa::Program;
-use braid::obs::{check_kanata, metrics_json, report_json, write_kanata, PipelineObserver};
+use braid::obs::{
+    check_kanata, metrics_json, report_json, tier_json, write_kanata, PipelineObserver,
+};
 use braid::sweep::{CoreModel, MAX_BEUS, MAX_WIDTH, MAX_WINDOW};
 use braid::workloads::MAX_SCALE;
 
@@ -625,48 +627,6 @@ fn paper_core(name: &str, width: u32, perfect: bool) -> Option<CoreConfig> {
     Some(model.paper_config(width, perfect))
 }
 
-/// Deterministic JSON for a tiered report (host wall-clock excluded, IPC
-/// as integer micro-IPC so the bytes are stable across hosts).
-fn tier_json(core: &str, tier: Tier, rep: &TierReport) -> String {
-    let mut s = format!("{{\"core\":\"{core}\",\"tier\":\"{}\"", tier.name());
-    s.push_str(&format!(",\"instructions\":{}", rep.instructions()));
-    match rep {
-        TierReport::Full(r) => {
-            s.push_str(&format!(",\"cycles\":{}", r.cycles));
-        }
-        TierReport::Func(r) => {
-            s.push_str(&format!(",\"digest\":\"{:016x}\"", r.digest));
-        }
-        TierReport::Sampled(r) => {
-            s.push_str(&format!(
-                ",\"est_cycles\":{},\"est_ipc_micro\":{},\"intervals\":{},\"timed_insts\":{},\"measured_insts\":{},\"measured_cycles\":{},\"overhead_cycles\":{}",
-                r.est_cycles,
-                (r.est_ipc() * 1e6).round() as u64,
-                r.intervals,
-                r.timed_insts,
-                r.measured_insts,
-                r.measured_cycles,
-                r.overhead_cycles,
-            ));
-            if let Some(ci) = r.ci95_cycles {
-                s.push_str(&format!(",\"ci95_cycles\":{ci}"));
-            }
-            s.push_str(",\"cpi\":{");
-            let mut first = true;
-            for (cause, n) in r.cpi.iter() {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                s.push_str(&format!("\"{}\":{n}", cause.key()));
-            }
-            s.push('}');
-        }
-    }
-    s.push('}');
-    s
-}
-
 /// Runs the functional or sampled tier over the selected core(s).
 fn run_tiered(core: &str, program: &Program, fuel: u64, opts: &Options) -> ExitCode {
     let names: Vec<&str> = if core == "all" {
@@ -699,7 +659,7 @@ fn run_tiered(core: &str, program: &Program, fuel: u64, opts: &Options) -> ExitC
                     }
                 }
                 if opts.report_json {
-                    println!("{}", tier_json(name, opts.tier, &rep));
+                    println!("{}", tier_json(("core", name), opts.tier, &rep).compact());
                 }
             }
             Err(e) => {
