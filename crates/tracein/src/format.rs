@@ -67,7 +67,7 @@ pub struct TraceFile {
     /// Workload name carried through recording.
     pub name: String,
     /// Instruction budget the recording ran under (replays reuse it when
-    /// a core needs to re-derive the stream, e.g. braid translation).
+    /// a core runs the program itself, e.g. the braid core's translation).
     pub fuel: u64,
     /// The program the trace was recorded from.
     pub program: Program,
