@@ -22,84 +22,85 @@ use braid_bench::experiments as exp;
 use braid_bench::table::Table;
 use braid_bench::{prepare_suite, scale, Prepared};
 
-const ALL: &[&str] = &[
-    "tab1", "tab2", "tab3", "chars", "splits", "fig1", "fig5", "fig6", "fig7", "fig8",
-    "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "pipeline", "clusters",
-    "exceptions", "disambiguation", "predictors", "mshrs", "fig13perfect", "widthsweep",
-    "cpistack", "sampled", "opt", "frontier",
-];
-
-/// Experiments that run the hand-written kernels and never touch the
-/// prepared synthetic suite.
-const SUITE_FREE: &[&str] = &["sampled", "opt", "frontier"];
-
-fn run_one(name: &str, suite: &[Prepared]) -> Option<Table> {
-    let table = match name {
-        "tab1" => exp::tab1(suite),
-        "tab2" => exp::tab2(suite),
-        "tab3" => exp::tab3(suite),
-        "chars" => exp::chars(suite),
-        "splits" => exp::splits(suite),
-        "fig1" => exp::fig1(suite),
-        "fig5" => exp::fig5(suite),
-        "fig6" => exp::fig6(suite),
-        "fig7" => exp::fig7(suite),
-        "fig8" => exp::fig8(suite),
-        "fig9" => exp::fig9(suite),
-        "fig10" => exp::fig10(suite),
-        "fig11" => exp::fig11(suite),
-        "fig12" => exp::fig12(suite),
-        "fig13" => exp::fig13(suite),
-        "fig14" => exp::fig14(suite),
-        "pipeline" => exp::pipeline(suite),
-        "clusters" => exp::clusters(suite),
-        "exceptions" => exp::exceptions(suite),
-        "disambiguation" => exp::disambiguation(suite),
-        "predictors" => exp::predictors(suite),
-        "mshrs" => exp::mshrs(suite),
-        "fig13perfect" => exp::fig13perfect(suite),
-        "widthsweep" => exp::widthsweep(suite),
-        "cpistack" => exp::cpistack(suite),
-        "sampled" => exp::sampled(),
-        "opt" => exp::opt(),
-        "frontier" => exp::frontier(),
-        _ => return None,
-    };
-    Some(table)
+/// How an experiment runs: over the prepared synthetic suite, or on the
+/// hand-written kernels and compiled loop nests alone.
+#[derive(Clone, Copy)]
+enum Experiment {
+    Suite(fn(&[Prepared]) -> Table),
+    Kernels(fn() -> Table),
 }
 
+use Experiment::{Kernels, Suite};
+
+/// Every experiment, in `exp all` order.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("tab1", Suite(exp::tab1)),
+    ("tab2", Suite(exp::tab2)),
+    ("tab3", Suite(exp::tab3)),
+    ("chars", Suite(exp::chars)),
+    ("splits", Suite(exp::splits)),
+    ("fig1", Suite(exp::fig1)),
+    ("fig5", Suite(exp::fig5)),
+    ("fig6", Suite(exp::fig6)),
+    ("fig7", Suite(exp::fig7)),
+    ("fig8", Suite(exp::fig8)),
+    ("fig9", Suite(exp::fig9)),
+    ("fig10", Suite(exp::fig10)),
+    ("fig11", Suite(exp::fig11)),
+    ("fig12", Suite(exp::fig12)),
+    ("fig13", Suite(exp::fig13)),
+    ("fig14", Suite(exp::fig14)),
+    ("pipeline", Suite(exp::pipeline)),
+    ("clusters", Suite(exp::clusters)),
+    ("exceptions", Suite(exp::exceptions)),
+    ("disambiguation", Suite(exp::disambiguation)),
+    ("predictors", Suite(exp::predictors)),
+    ("mshrs", Suite(exp::mshrs)),
+    ("fig13perfect", Suite(exp::fig13perfect)),
+    ("widthsweep", Suite(exp::widthsweep)),
+    ("cpistack", Suite(exp::cpistack)),
+    ("sampled", Kernels(exp::sampled)),
+    ("opt", Kernels(exp::opt)),
+    ("frontier", Kernels(exp::frontier)),
+];
+
 fn main() {
+    let names = EXPERIMENTS.iter().map(|(name, _)| *name).collect::<Vec<_>>().join(" ");
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: exp <experiment>... | all\nexperiments: {}", ALL.join(" "));
+        eprintln!("usage: exp <experiment>... | all\nexperiments: {names}");
         std::process::exit(2);
     }
-    let wanted: Vec<&str> = if args.iter().any(|a| a == "all") {
-        ALL.to_vec()
+    let wanted: Vec<(&str, Experiment)> = if args.iter().any(|a| a == "all") {
+        EXPERIMENTS.to_vec()
     } else {
-        args.iter().map(|s| s.as_str()).collect()
+        args.iter()
+            .map(|a| {
+                EXPERIMENTS.iter().find(|(name, _)| name == a).copied().unwrap_or_else(|| {
+                    eprintln!("unknown experiment {a:?}; known: {names}");
+                    std::process::exit(2)
+                })
+            })
+            .collect()
     };
-    for w in &wanted {
-        if !ALL.contains(w) {
-            eprintln!("unknown experiment {w:?}; known: {}", ALL.join(" "));
-            std::process::exit(2);
-        }
-    }
 
-    let suite = if wanted.iter().all(|w| SUITE_FREE.contains(w)) {
-        Vec::new()
-    } else {
+    let suite = if wanted.iter().any(|(_, e)| matches!(e, Suite(_))) {
         let t0 = Instant::now();
         eprintln!("preparing 26-benchmark suite at scale {} ...", scale());
         let suite = prepare_suite(scale());
         eprintln!("prepared in {:.1}s", t0.elapsed().as_secs_f64());
         suite
+    } else {
+        Vec::new()
     };
 
     let _ = fs::create_dir_all("results");
-    for name in wanted {
+    for (name, experiment) in wanted {
         let t1 = Instant::now();
-        let table = run_one(name, &suite).expect("validated above");
+        let table = match experiment {
+            Suite(run) => run(&suite),
+            Kernels(run) => run(),
+        };
         let text = table.render();
         println!("{text}");
         eprintln!("[{name} took {:.1}s]", t1.elapsed().as_secs_f64());

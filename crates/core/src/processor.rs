@@ -74,7 +74,7 @@ impl From<crate::error::SimError> for RunError {
 
 /// One of the four timing cores with its configuration — the unit the
 /// tier driver dispatches over.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CoreConfig {
     /// The in-order machine.

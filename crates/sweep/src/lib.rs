@@ -663,29 +663,6 @@ fn cpi_from_json(obj: Option<&Json>) -> CpiStack {
     cpi
 }
 
-/// Aggregated CPI stacks per core model: every successful point's stack,
-/// merged in grid order. Cores with no successful points are omitted.
-/// This is the input for paper-style CPI-breakdown tables.
-pub fn cpi_by_core(run: &SweepRun) -> Vec<(CoreModel, CpiStack)> {
-    CoreModel::ALL
-        .into_iter()
-        .filter_map(|core| {
-            let mut merged = CpiStack::new();
-            let mut any = false;
-            for o in &run.outcomes {
-                if o.point.core != core {
-                    continue;
-                }
-                if let Ok(s) = &o.stats {
-                    merged.merge(&s.cpi);
-                    any = true;
-                }
-            }
-            any.then_some((core, merged))
-        })
-        .collect()
-}
-
 /// Reconstructs a point result from its snapshot entry. `host_nanos`
 /// is not serialized, so it comes back as `0`. Tier fields are read
 /// zero-tolerantly (mirroring [`cpi_from_json`]): a snapshot written
@@ -767,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn cpi_stacks_survive_snapshot_and_aggregate_per_core() {
+    fn cpi_stacks_survive_snapshot_and_aggregate() {
         let spec = tiny_spec("cpi");
         let run = run_sweep(&spec, 2, None, false).unwrap();
 
@@ -787,19 +764,6 @@ mod tests {
         }
         // A pre-CPI snapshot entry degrades to a zero stack.
         assert_eq!(cpi_from_json(None), CpiStack::new());
-
-        // Per-core aggregation merges every workload's stack.
-        let by_core = cpi_by_core(&run);
-        assert_eq!(by_core.len(), 2, "two cores in the grid");
-        for (core, cpi) in &by_core {
-            let expected: u64 = run
-                .outcomes
-                .iter()
-                .filter(|o| o.point.core == *core)
-                .map(|o| o.stats.as_ref().unwrap().cycles)
-                .sum();
-            assert_eq!(cpi.total(), expected, "{core}: merged stack sums to merged cycles");
-        }
     }
 
     #[test]

@@ -164,12 +164,13 @@ fi
 rm -f "$trace_file"
 echo "trace smoke OK (cycle digest $trace_d1 stable across replays)"
 
-echo "==> exp results guard (fresh tab1 chars exceptions fig13 widthsweep = results/)"
+echo "==> exp results guard (fresh exp tables = results/, all but sampled)"
 # exp writes results/ under the current directory, so run it at the
-# default scale in a scratch directory and compare with the committed one.
+# default scale in a scratch directory and compare every table with the
+# committed one, except sampled.txt, whose speedup columns are host time.
 cargo build --release -q -p braid-bench --bin exp
 exp_dir="$(mktemp -d)"
-exp_tables="tab1 chars exceptions fig13 widthsweep"
+exp_tables="$(cd results && ls -- *.txt | sed 's/\.txt$//' | grep -vx sampled)"
 ( cd "$exp_dir" && env -u BRAID_SCALE "$OLDPWD/target/release/exp" $exp_tables > /dev/null )
 for table in $exp_tables; do
   if ! cmp "$exp_dir/results/$table.txt" "results/$table.txt"; then
@@ -178,7 +179,7 @@ for table in $exp_tables; do
   fi
 done
 rm -rf "$exp_dir"
-echo "exp guard OK ($exp_tables match results/)"
+echo "exp guard OK ($(echo $exp_tables | wc -w) tables match results/)"
 
 echo "==> sweep smoke (tiny grid, 2 threads)"
 cargo run --release --bin braidsim -- sweep --name tier1-smoke --threads 2 \

@@ -620,6 +620,14 @@ fn run_sweep_cmd(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The cores `braidsim all` runs, in output order, with their report labels.
+const CLI_CORES: [(CoreModel, &str); 4] = [
+    (CoreModel::Ooo, "out-of-order"),
+    (CoreModel::DepSteer, "dependence-steering"),
+    (CoreModel::InOrder, "in-order"),
+    (CoreModel::Braid, "braid"),
+];
+
 /// The paper configuration of the core the CLI calls `name` (exactly a
 /// [`CoreModel::name`], never a parse alias) at `width`.
 fn paper_core(name: &str, width: u32, perfect: bool) -> Option<CoreConfig> {
@@ -629,22 +637,16 @@ fn paper_core(name: &str, width: u32, perfect: bool) -> Option<CoreConfig> {
 
 /// Runs the functional or sampled tier over the selected core(s).
 fn run_tiered(core: &str, program: &Program, fuel: u64, opts: &Options) -> ExitCode {
-    let names: Vec<&str> = if core == "all" {
-        vec!["ooo", "dep", "inorder", "braid"]
-    } else {
-        vec![core]
-    };
     // The functional tier has no timing core at all, so without braid
     // translation in play every selection runs the same interpreter once.
-    let names: Vec<&str> = if opts.tier == Tier::Func && core == "all" {
-        vec!["inorder", "braid"]
-    } else {
-        names
+    let models: Vec<CoreModel> = match core {
+        "all" if opts.tier == Tier::Func => vec![CoreModel::InOrder, CoreModel::Braid],
+        "all" => CLI_CORES.iter().map(|&(m, _)| m).collect(),
+        _ => CoreModel::ALL.into_iter().filter(|m| m.name() == core).collect(),
     };
-    for name in names {
-        let Some(cfg) = paper_core(name, opts.width, opts.perfect) else {
-            return usage();
-        };
+    for model in models {
+        let name = model.name();
+        let cfg = model.paper_config(opts.width, opts.perfect);
         match run_tier(program, &cfg, opts.tier, fuel, &opts.sampling) {
             Ok(rep) => {
                 println!("--- {name} ({} tier) ---", opts.tier);
@@ -756,6 +758,11 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
+    // Exactly a `CoreModel::name` or `all`: the parse aliases stay refused.
+    if core != "all" && !CoreModel::ALL.iter().any(|m| m.name() == core) {
+        eprintln!("braidsim: unknown core {core:?}");
+        return usage();
+    }
     if opts.observe() && core == "all" {
         eprintln!("braidsim: --pipeview/--metrics need a single core, not `all`");
         return usage();
@@ -782,9 +789,6 @@ fn main() -> ExitCode {
             eprintln!("braidsim: --pipeview/--metrics need --tier full");
             return usage();
         }
-        if !["ooo", "dep", "inorder", "braid", "all"].contains(&core) {
-            return usage();
-        }
         return run_tiered(core, &program, fuel, &opts);
     }
 
@@ -799,13 +803,7 @@ fn main() -> ExitCode {
     };
     println!("{}: {} dynamic instructions", program.name, insts);
 
-    let cores = [
-        (CoreModel::Ooo, "out-of-order"),
-        (CoreModel::DepSteer, "dependence-steering"),
-        (CoreModel::InOrder, "in-order"),
-        (CoreModel::Braid, "braid"),
-    ];
-    for (model, label) in cores {
+    for (model, label) in CLI_CORES {
         if core != model.name() && core != "all" {
             continue;
         }
@@ -828,9 +826,6 @@ fn main() -> ExitCode {
         if !ok {
             return ExitCode::FAILURE;
         }
-    }
-    if !["ooo", "dep", "inorder", "braid", "all"].contains(&core) {
-        return usage();
     }
     ExitCode::SUCCESS
 }

@@ -240,6 +240,22 @@ fn braidsim_machine_sizes_out_of_range_exit_two() {
 }
 
 #[test]
+fn braidsim_unknown_core_exits_two_before_running() {
+    // Exactly a core name or `all`; the parse aliases `io` and `depsteer`
+    // are refused too. Nothing runs, so nothing reaches stdout.
+    for core in ["foo", "io", "depsteer"] {
+        for tier in ["full", "func", "sampled"] {
+            let args = [core, "@dot_product", "--tier", tier];
+            let out = braidsim().args(args).output().expect("runs");
+            assert_eq!(out.status.code(), Some(2), "{core} --tier {tier}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.is_empty(), "{core} --tier {tier}: {stdout}");
+            assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"), "{core}");
+        }
+    }
+}
+
+#[test]
 fn braidsim_zero_width_runs_the_paper_default() {
     let run = |width: &str| {
         let out = braidsim().args(["ooo", "@dot_product", "--width", width]).output();

@@ -1,0 +1,26 @@
+//! Figures time the prepared suite they are handed: a cell of a figure is
+//! the full-tier run of that prepared program, at the suite's own scale.
+
+use braid::core::processor::run_full;
+use braid::core::NoopObserver;
+use braid::sweep::CoreModel;
+use braid_bench::experiments as exp;
+use braid_bench::prepare;
+
+#[test]
+fn widthsweep_cells_time_the_prepared_programs() {
+    let suite: Vec<_> = ["gcc", "swim"]
+        .iter()
+        .map(|n| prepare(braid::workloads::by_name(n, 0.05).expect("known benchmark")))
+        .collect();
+    let t = exp::widthsweep(&suite);
+    let col = t.headers.iter().position(|h| h == "ooo8").expect("an 8-wide ooo column") - 1;
+    let core = CoreModel::Ooo.paper_config(8, false);
+    for p in &suite {
+        let want = run_full(&p.workload.program, &core, p.workload.fuel, &mut NoopObserver)
+            .expect("runs")
+            .ipc();
+        let row = t.row(&p.workload.name).expect("one row per workload");
+        assert_eq!(row.values[col], want, "{}: ooo8 cell", p.workload.name);
+    }
+}
