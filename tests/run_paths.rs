@@ -18,6 +18,12 @@
 //! sparsely (so `ci95_cycles` shows), plus braidd's `simulate` response at
 //! the same three settings.
 //!
+//! The trace and search paths are pinned as well: `trace-record` file
+//! digests (binary and `--jsonl`) and `trace-replay` stdout for four
+//! compiled loop nests, `braidc -O --json` on `@dot_product` and
+//! `@ln_chains_c4_u2`, and braidd's `trace` response on `@dot_product`
+//! for all four cores.
+//!
 //! Regenerate after an intentional timing or format change with:
 //!
 //! ```text
@@ -182,4 +188,81 @@ fn braidd_tier_simulate_bytes_are_pinned() {
     let requests =
         [request(1, "func", ""), request(2, "sampled", ""), request(3, "sampled", &sparse)];
     check_golden("braidd_tiers.golden", &braidd_responses(&requests));
+}
+
+/// The loop nests whose recorded traces are pinned.
+const NESTS: [&str; 4] = ["ln_saxpy_u2", "ln_stencil_u1", "ln_matmul_n8", "ln_chains_c4_u2"];
+
+/// A scratch directory for trace files, removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("braid-run-paths-{tag}-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("create temp dir");
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Records `@name` into `path` (JSON-lines when `jsonl`) and returns the
+/// file's content digest plus braidsim's stdout, with the temporary path
+/// replaced by `name`.
+fn record(name: &str, path: &std::path::Path, jsonl: bool) -> String {
+    let path_str = path.to_str().expect("UTF-8 temp path");
+    let spec = format!("@{name}");
+    let mut args = vec!["trace-record", spec.as_str(), path_str];
+    if jsonl {
+        args.push("--jsonl");
+    }
+    let out = braidsim(&args);
+    assert!(out.status.success(), "braidsim {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout").replace(path_str, name);
+    let bytes = fs::read(path).expect("trace file written");
+    format!("file {}\n{stdout}", braid::sweep::digest::hex(&bytes))
+}
+
+#[test]
+fn trace_record_and_replay_bytes_are_pinned() {
+    let dir = TempDir::new("trace");
+    let mut current = String::new();
+    for name in NESTS {
+        let bin = dir.0.join(format!("{name}.btrace"));
+        let jsonl = dir.0.join(format!("{name}.jsonl"));
+        current += &record(name, &bin, false);
+        current += &record(name, &jsonl, true);
+        current += &full_tier_stdout(&["trace-replay", bin.to_str().expect("UTF-8 temp path")]);
+    }
+    check_golden("trace_paths.golden", &current);
+}
+
+#[test]
+fn braidc_opt_json_is_pinned() {
+    let mut current = String::new();
+    for spec in ["@dot_product", "@ln_chains_c4_u2"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_braidc"))
+            .args(["-O", spec, "--json"])
+            .output()
+            .expect("braidc runs");
+        assert!(out.status.success(), "braidc -O {spec}: {}", String::from_utf8_lossy(&out.stderr));
+        current += &String::from_utf8(out.stdout).expect("utf-8 stdout");
+    }
+    check_golden("braidc_opt.golden", &current);
+}
+
+#[test]
+fn braidd_trace_bytes_are_pinned() {
+    let requests: Vec<String> = ["inorder", "dep", "ooo", "braid"]
+        .iter()
+        .enumerate()
+        .map(|(i, core)| {
+            format!(r#"{{"id":{},"kind":"trace","workload":"dot_product","core":"{core}"}}"#, i + 1)
+        })
+        .collect();
+    check_golden("braidd_trace.golden", &braidd_responses(&requests));
 }
