@@ -22,8 +22,9 @@
 //!   characterization).
 //! * [`processor`] — the run API: [`run_tier`] (translate when the core
 //!   is braid, then time at any tier), [`run_full`] (full-tier timing of a
-//!   program as given, with an observer), [`translate_checked`] and
-//!   [`trace_program`].
+//!   program as given, with an observer), [`translate_checked`],
+//!   [`FuncStream`] (the streamed committed stream every production
+//!   consumer reads) and [`trace_program`] (the golden oracle).
 //! * [`func`] — the fast functional tier (block-batched interpreter over
 //!   the predecode tables) and the sampled-timing driver that extrapolates
 //!   IPC/CPI stacks from timed intervals.
@@ -80,7 +81,8 @@ pub use func::{
 pub use functional::{ExecError, Machine};
 pub use obs::{CpiStack, NoopObserver, Observer, StallCause};
 pub use processor::{
-    run_full, run_tier, trace_program, translate_checked, CoreConfig, RunError, TierReport,
+    run_full, run_tier, trace_program, translate_checked, CoreConfig, FuncStream, RunError,
+    TierReport,
 };
 pub use report::SimReport;
 pub use trace::{Trace, TraceEntry};

@@ -4,12 +4,12 @@
 //! values in SPEC CPU2000: **fanout** (over 70% of values are read exactly
 //! once, ~90% at most twice, ~4% never) and **lifetime** (about 80% of
 //! values are fully consumed within 32 dynamic instructions of their
-//! producer). This module measures both over a committed trace.
+//! producer). This module measures both over a committed stream.
 
 use braid_isa::Program;
 use braid_uarch::stats::Histogram;
 
-use crate::trace::Trace;
+use crate::trace::{for_each_entry, TraceSource};
 
 /// Dynamic value fanout and lifetime distributions.
 #[derive(Debug, Clone, Default)]
@@ -21,8 +21,9 @@ pub struct ValueProfile {
 }
 
 impl ValueProfile {
-    /// Profiles every register value produced in `trace`.
-    pub fn measure(program: &Program, trace: &Trace) -> ValueProfile {
+    /// Profiles every register value produced in the committed stream of
+    /// `program` that `source` supplies.
+    pub fn measure(program: &Program, source: &mut dyn TraceSource) -> ValueProfile {
         // For each architectural register: (producer position, reads so
         // far, last read position).
         let mut live: [Option<(u64, u64, u64)>; 64] = [None; 64];
@@ -35,8 +36,8 @@ impl ValueProfile {
                 }
             }
         };
-        for (pos, e) in trace.entries.iter().enumerate() {
-            let pos = pos as u64;
+        let mut pos = 0u64;
+        for_each_entry(source, |e| {
             let inst = &program.insts[e.idx as usize];
             for r in inst.read_regs() {
                 if r.is_zero() {
@@ -53,7 +54,8 @@ impl ValueProfile {
                     live[d.index() as usize] = Some((pos, 0, pos));
                 }
             }
-        }
+            pos += 1;
+        });
         for v in live {
             close(v, &mut profile);
         }
@@ -98,7 +100,7 @@ mod tests {
         let p = assemble(src).unwrap();
         let mut m = Machine::new(&p);
         let t = m.run(&p, 100_000).unwrap();
-        ValueProfile::measure(&p, &t)
+        ValueProfile::measure(&p, &mut t.entries.as_slice())
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! the branch resolves in the core, then charges the configured front-end
 //! refill penalty. Wrong-path instructions are not executed (see DESIGN.md).
 
-use braid_isa::Program;
-
 /// One committed dynamic instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
@@ -29,6 +27,24 @@ pub trait TraceSource {
     /// Appends up to `max` of the next entries to `out`. Appending none
     /// means the stream has ended.
     fn fill(&mut self, out: &mut Vec<TraceEntry>, max: usize);
+}
+
+/// Entries [`for_each_entry`] pulls per fill.
+const WALK_CHUNK: usize = 1 << 16;
+
+/// Feeds every entry `source` supplies to `visit`, in order, pulling it in
+/// chunks so that memory stays bounded whatever the stream's length: the
+/// one loop behind every consumer that folds a stream instead of timing it.
+pub fn for_each_entry(source: &mut dyn TraceSource, mut visit: impl FnMut(&TraceEntry)) {
+    let mut chunk = Vec::with_capacity(WALK_CHUNK);
+    loop {
+        chunk.clear();
+        source.fill(&mut chunk, WALK_CHUNK);
+        if chunk.is_empty() {
+            return;
+        }
+        chunk.iter().for_each(&mut visit);
+    }
 }
 
 /// A materialized trace is a source: each fill copies the next entries out
@@ -58,29 +74,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Counts dynamic instructions per opcode mnemonic.
-    pub fn opcode_mix(&self, program: &Program) -> std::collections::BTreeMap<&'static str, u64> {
-        let mut mix = std::collections::BTreeMap::new();
-        for e in &self.entries {
-            let m = program.insts[e.idx as usize].opcode.mnemonic();
-            *mix.entry(m).or_insert(0) += 1;
-        }
-        mix
-    }
-
-    /// Fraction of dynamic instructions that are conditional branches.
-    pub fn branch_fraction(&self, program: &Program) -> f64 {
-        if self.entries.is_empty() {
-            return 0.0;
-        }
-        let n = self
-            .entries
-            .iter()
-            .filter(|e| program.insts[e.idx as usize].opcode.is_cond_branch())
-            .count();
-        n as f64 / self.entries.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +100,5 @@ mod tests {
         let takens: Vec<bool> =
             t.entries.iter().filter(|e| e.idx == 2).map(|e| e.taken).collect();
         assert_eq!(takens, vec![true, true, false]);
-        assert!(t.branch_fraction(&p) > 0.3);
-        assert_eq!(t.opcode_mix(&p)["subi"], 3);
     }
 }

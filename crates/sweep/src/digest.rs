@@ -19,17 +19,40 @@
 
 /// 64-bit FNV-1a over `bytes`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.0
 }
 
 /// The canonical rendering of a content digest: 16 lowercase hex digits.
 pub fn hex(bytes: &[u8]) -> String {
     format!("{:016x}", fnv1a64(bytes))
+}
+
+/// 64-bit FNV-1a fed in pieces, for content streamed rather than held:
+/// updating with `a` then `b` digests exactly as [`fnv1a64`] of `a ++ b`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Feeds the next bytes.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything fed so far, in the canonical rendering.
+    pub fn hex(&self) -> String {
+        format!("{:016x}", self.0)
+    }
 }
 
 /// A small builder for digesting structured content: feed it labelled
@@ -139,23 +162,45 @@ pub fn unframe(bytes: &[u8]) -> Result<&[u8], FrameError> {
         return Err(FrameError::Truncated);
     }
     let (payload, footer) = bytes.split_at(bytes.len() - FRAME_FOOTER_LEN);
+    let recorded = check_footer(footer, payload.len() as u64)?;
+    check_digest(recorded, hex(payload))?;
+    Ok(payload)
+}
+
+/// Checks the magic of the [`FRAME_FOOTER_LEN`]-byte `footer` and the
+/// payload length it records against `len`, and returns the digest it
+/// records: the first of [`unframe`]'s two steps, for readers that stream
+/// the payload and check its digest ([`check_digest`]) at the end.
+///
+/// # Errors
+///
+/// [`FrameError::BadMagic`] or [`FrameError::LengthMismatch`].
+pub fn check_footer(footer: &[u8], len: u64) -> Result<&[u8], FrameError> {
     let (magic, rest) = footer.split_at(8);
     if magic != FRAME_MAGIC {
         return Err(FrameError::BadMagic);
     }
-    let (len_bytes, digest_bytes) = rest.split_at(8);
+    let (len_bytes, digest) = rest.split_at(8);
     let recorded = u64::from_le_bytes(len_bytes.try_into().expect("8-byte slice"));
-    if recorded != payload.len() as u64 {
-        return Err(FrameError::LengthMismatch { recorded, actual: payload.len() as u64 });
+    if recorded != len {
+        return Err(FrameError::LengthMismatch { recorded, actual: len });
     }
-    let actual = hex(payload);
-    if digest_bytes != actual.as_bytes() {
+    Ok(digest)
+}
+
+/// Checks the payload digest a footer records against the `actual` one.
+///
+/// # Errors
+///
+/// [`FrameError::DigestMismatch`] when they differ.
+pub fn check_digest(recorded: &[u8], actual: String) -> Result<(), FrameError> {
+    if recorded != actual.as_bytes() {
         return Err(FrameError::DigestMismatch {
-            recorded: String::from_utf8_lossy(digest_bytes).into_owned(),
+            recorded: String::from_utf8_lossy(recorded).into_owned(),
             actual,
         });
     }
-    Ok(payload)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -172,6 +217,10 @@ mod tests {
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
         assert_eq!(hex(b""), "cbf29ce484222325");
         assert_eq!(hex(b"foobar"), "85944171f73967e8");
+        let mut pieces = Fnv1a::default();
+        pieces.update(b"foo");
+        pieces.update(b"bar");
+        assert_eq!(pieces.hex(), "85944171f73967e8");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! path.
 
 use std::error::Error;
-use std::fmt;
+use std::{fmt, io};
 
-use braid_core::{ExecError, SimError};
+use braid_core::{ExecError, RunError};
 use braid_sweep::digest::FrameError;
 
 /// Why a trace file failed to parse, encode, or record.
@@ -27,6 +27,8 @@ pub enum TraceError {
     Container(braid_isa::IsaError),
     /// Functional execution failed while recording.
     Exec(ExecError),
+    /// Reading or writing the trace failed.
+    Io(io::Error),
 }
 
 impl fmt::Display for TraceError {
@@ -40,6 +42,7 @@ impl fmt::Display for TraceError {
             TraceError::Malformed(m) => write!(f, "malformed trace: {m}"),
             TraceError::Container(e) => write!(f, "embedded program container: {e}"),
             TraceError::Exec(e) => write!(f, "recording failed: {e}"),
+            TraceError::Io(e) => write!(f, "{e}"),
         }
     }
 }
@@ -50,8 +53,15 @@ impl Error for TraceError {
             TraceError::Frame(e) => Some(e),
             TraceError::Container(e) => Some(e),
             TraceError::Exec(e) => Some(e),
+            TraceError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<io::Error> for TraceError {
+    fn from(e: io::Error) -> TraceError {
+        TraceError::Io(e)
     }
 }
 
@@ -61,32 +71,16 @@ impl Error for TraceError {
 pub enum ReplayError {
     /// The trace file itself is unusable.
     Trace(TraceError),
-    /// Braid translation of the embedded program failed.
-    Translate(braid_compiler::TranslateError),
-    /// The translated program failed the static braid-contract check;
-    /// the braid core refuses to run it.
-    Check(Box<braid_check::CheckReport>),
-    /// Functional execution of the translated braid-core program failed.
-    Exec(ExecError),
-    /// Timing simulation failed (bad config or livelock).
-    Sim(SimError),
-    /// The core kind has no replay arm (future [`CoreConfig`] variant).
-    ///
-    /// [`CoreConfig`]: braid_core::processor::CoreConfig
-    UnsupportedCore(String),
+    /// Translation, the braid-contract check, functional execution or
+    /// timing failed, as in a live run.
+    Run(RunError),
 }
 
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplayError::Trace(e) => write!(f, "unusable trace: {e}"),
-            ReplayError::Translate(e) => write!(f, "braid translation failed: {e}"),
-            ReplayError::Check(r) => write!(f, "braid contract violated: {r}"),
-            ReplayError::Exec(e) => write!(f, "functional execution failed: {e}"),
-            ReplayError::Sim(e) => write!(f, "timing simulation failed: {e}"),
-            ReplayError::UnsupportedCore(name) => {
-                write!(f, "no replay support for core kind `{name}`")
-            }
+            ReplayError::Run(e) => e.fmt(f),
         }
     }
 }
@@ -95,17 +89,25 @@ impl Error for ReplayError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ReplayError::Trace(e) => Some(e),
-            ReplayError::Translate(e) => Some(e),
-            ReplayError::Check(_) => None,
-            ReplayError::Exec(e) => Some(e),
-            ReplayError::Sim(e) => Some(e),
-            ReplayError::UnsupportedCore(_) => None,
+            ReplayError::Run(e) => e.source(),
         }
     }
 }
 
-impl From<SimError> for ReplayError {
-    fn from(e: SimError) -> ReplayError {
-        ReplayError::Sim(e)
+impl From<RunError> for ReplayError {
+    fn from(e: RunError) -> ReplayError {
+        ReplayError::Run(e)
+    }
+}
+
+impl From<TraceError> for ReplayError {
+    fn from(e: TraceError) -> ReplayError {
+        ReplayError::Trace(e)
+    }
+}
+
+impl From<io::Error> for ReplayError {
+    fn from(e: io::Error) -> ReplayError {
+        ReplayError::Trace(TraceError::Io(e))
     }
 }

@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("frequent (1/500)", 500, 200),
     ] {
         let points: Vec<u64> = (0..trace.len() as u64).step_by(every).skip(1).collect();
-        let r = core.run_with_exceptions(&t.program, &trace, &points, handler)?;
+        let mut source = trace.entries.as_slice();
+        let r = core.run_with_exceptions(&t.program, &mut source, &points, handler)?;
         println!(
             "{label}: {} cycles, IPC {:.3}  ({} exceptions, {:.1}% slowdown)",
             r.cycles,

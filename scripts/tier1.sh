@@ -69,13 +69,23 @@ if [ $(( long_timed * 4 )) -gt "$long_insts" ]; then
 fi
 echo "long sampled smoke OK (full=$long_full cycles, sampled est=$long_est, err=${long_err} permille, timed $long_timed/$long_insts)"
 
-echo "==> bounded-memory smoke (9.2M-instruction nest, full-tier braid and ooo, sampled ooo, under ulimit -v 128 MiB)"
+echo "==> bounded-memory smoke (9.2M-instruction nest: full-tier braid and ooo, sampled ooo, trace record/replay, bound and -O, under ulimit -v 128 MiB)"
 # The full tier streams its trace through a window-sized slot ring, so
 # memory is set by the configuration, not the run length: each run peaks
 # near 11 MB, while materializing its trace would need over 1 GB. The ooo
 # run also bounds its wakeup lists and port rings by the configuration.
 ( ulimit -v 131072; ./target/release/braidsim braid scripts/data/accum_9m.bl > /dev/null )
 ( ulimit -v 131072; ./target/release/braidsim ooo scripts/data/accum_9m.bl > /dev/null )
+# Trace files, bounds and the partition search read the same streamed
+# producer, so they run under the same cap (holding this nest's whole
+# trace took 214-513 MB). The 157 MB trace file goes to a temp directory.
+capped_dir="$(mktemp -d)"
+( ulimit -v 131072 \
+  && ./target/release/braidsim trace-record scripts/data/accum_9m.bl "$capped_dir/accum.btrace" > /dev/null \
+  && ./target/release/braidsim trace-replay "$capped_dir/accum.btrace" > /dev/null \
+  && ./target/release/braidc bound scripts/data/accum_9m.bl > /dev/null \
+  && ./target/release/braidc -O scripts/data/accum_9m.bl > /dev/null ) || { rm -rf "$capped_dir"; exit 1; }
+rm -rf "$capped_dir"
 # The sampled tier runs its producer on a helper thread. Under the cap a
 # helper that allocated per interval ran 7-10x slower (its malloc arena),
 # so the capped run must print the uncapped report and take at most 3x

@@ -71,7 +71,7 @@ fn assert_sound(program: &Program, fuel: u64, tag: &str) -> u64 {
             continue;
         }
         let trace = trace_program(&exec, fuel).expect("functional trace");
-        let bound = cycle_bound(&exec, &core, &trace).cycles();
+        let bound = cycle_bound(&exec, &core, &mut trace.entries.as_slice()).cycles();
         let cycles = full_cycles(program, &core, fuel);
         assert!(
             bound <= cycles,
@@ -132,7 +132,7 @@ fn analyze_matches_the_direct_bound_on_kernels() {
                 w.program.clone()
             };
             let trace = trace_program(&exec, w.fuel).expect("trace");
-            let direct = cycle_bound(&exec, core, &trace).cycles();
+            let direct = cycle_bound(&exec, core, &mut trace.entries.as_slice()).cycles();
             let reported = report
                 .bounds
                 .iter()

@@ -68,7 +68,7 @@ fn render_golden(w: &Workload) -> String {
     let n = trace.len() as u64;
     let points: Vec<u64> = (1..=EXCEPTIONS).map(|k| k * n / (EXCEPTIONS + 1)).collect();
     let r = BraidCore::new(BraidConfig::paper_default())
-        .run_with_exceptions(&t.program, &trace, &points, HANDLER_LATENCY)
+        .run_with_exceptions(&t.program, &mut trace.entries.as_slice(), &points, HANDLER_LATENCY)
         .unwrap_or_else(|e| panic!("{}: exceptions: {e}", w.name));
     assert_eq!(r.instructions, n, "{}: exception run retires all", w.name);
     let _ = writeln!(out, "exceptions_taken {}", r.exceptions_taken);

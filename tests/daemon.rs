@@ -8,7 +8,9 @@
 //!   metrics document reports its phase decomposition as conserved;
 //! - `chaos`: under every armed fault class the client still verifies;
 //! - `crash recovery`: after `kill -9` a restart over the same cache
-//!   directory answers the same mix with the same response digest.
+//!   directory answers the same mix with the same response digest;
+//! - `trace`: a multi-million-instruction trace request streams, so the
+//!   daemon's peak resident set stays far below the trace's size.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -206,4 +208,30 @@ fn crash_recovery_serves_the_same_bytes_after_kill_9() {
         field(&cold, &["digest"]).as_str(),
         "cold and warm response digests"
     );
+}
+
+/// The peak resident set (`VmHWM`) of process `pid`, in kB.
+fn vm_hwm_kb(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("a VmHWM line")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn trace_requests_stream_in_bounded_memory() {
+    let d = Daemon::boot(&[]);
+    let doc = d.request(
+        r#"{"id":1,"kind":"trace","workload":"lucas","core":"inorder","scale":100}"#,
+    );
+    let entries = int(&doc, &["result", "entries"]);
+    assert!(entries >= 5_000_000, "a long trace: {}", doc.compact());
+    // Holding the trace would take 24 bytes an entry, plus its file form.
+    let hwm_kb = vm_hwm_kb(d.child.id());
+    assert!(hwm_kb < 64 * 1024, "braidd peaked at {hwm_kb} kB for {entries} entries");
+    d.request(r#"{"id":2,"kind":"shutdown"}"#);
+    d.stopped();
 }

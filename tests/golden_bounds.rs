@@ -52,7 +52,7 @@ fn render_golden(w: &Workload) -> String {
         };
         let trace = trace_program(&exec, w.fuel)
             .unwrap_or_else(|e| panic!("{}:{}: trace: {e}", w.name, core.name()));
-        let b = cycle_bound(&exec, &core, &trace);
+        let b = cycle_bound(&exec, &core, &mut trace.entries.as_slice());
         let cycles =
             match run_tier(&w.program, &core, Tier::Full, w.fuel, &SamplingConfig::default()) {
                 Ok(TierReport::Full(r)) => r.cycles,
